@@ -3,7 +3,6 @@ linear SVM, SNR-controlled dataset synthesis and Monte-Carlo evaluation."""
 
 from .audio import (
     AudioClip,
-    WindowSet,
     frame_windows,
     load_wav,
     mean_square_power,
@@ -33,7 +32,7 @@ from .spectrogram import (
     stft_spectrogram,
     to_image,
 )
-from .svm import LabeledSet, SvmModel, decision_value, predict, train
+from .svm import LabeledSet, SvmModel, decision_values, predict_batch, train
 from .synth import (
     ExperimentConfig,
     MixedSample,
@@ -47,13 +46,13 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioClip", "WindowSet", "frame_windows", "load_wav", "mean_square_power",
+    "AudioClip", "frame_windows", "load_wav", "mean_square_power",
     "normalize_unit", "save_wav", "Network", "extract_code", "load_network",
     "save_network", "tiny_vgg", "ConfusionMatrix", "MonteCarloResult",
     "SweepResult", "confusion", "run_monte_carlo", "snr_sweep",
     "featurize_clips", "GrayImage", "Spectrogram", "StftParams",
     "stft_spectrogram", "to_image", "LabeledSet", "SvmModel",
-    "decision_value", "predict", "train", "ExperimentConfig", "MixedSample",
-    "NoiseBank", "build_experiment", "mix_at_snr", "synth_noise",
-    "synth_whale_unit",
+    "decision_values", "predict_batch", "train", "ExperimentConfig",
+    "MixedSample", "NoiseBank", "build_experiment", "mix_at_snr",
+    "synth_noise", "synth_whale_unit",
 ]

@@ -7,7 +7,7 @@ clips are never modified in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,10 @@ class EmptyAudioError(AudioError):
     """Zero-length audio payload, or an empty clip where one is required."""
 
 
+class NonFiniteAudioError(AudioError):
+    """NaN or infinite sample in a float WAV payload."""
+
+
 class WindowingError(AudioError):
     """Clip too short for the requested analysis window."""
 
@@ -43,7 +47,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate_hz: float = 44100.0
-    label_tag: str | None = None
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
@@ -53,30 +56,13 @@ class AudioClip:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class WindowSet:
-    """Contiguous, non-overlapping equal-length windows cut from one clip."""
-
-    windows: list[AudioClip] = field(default_factory=list)
-    window_len_samples: int = 0
-
-    def __len__(self) -> int:
-        return len(self.windows)
-
-    def __iter__(self):
-        return iter(self.windows)
-
 
 def load_wav(path) -> AudioClip:
     """Read a PCM16 or float32 WAV file as a mono AudioClip.
 
-    PCM16 samples are scaled by 1/32768; multichannel audio is averaged
-    down to mono.  No resampling is performed.
+    PCM16 samples are scaled by 1/32768; float32 payloads holding a NaN or
+    infinite sample are rejected; multichannel audio is averaged down to
+    mono.  No resampling is performed.
     """
     path = Path(path)
     if not path.is_file():
@@ -89,6 +75,8 @@ def load_wav(path) -> AudioClip:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise NonFiniteAudioError(f"{path}: NaN or infinite sample values")
     else:
         raise UnsupportedEncodingError(
             f"{path}: unsupported WAV sample format {data.dtype} "
@@ -101,17 +89,10 @@ def load_wav(path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate_hz=float(rate))
 
 
-def save_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
-    """Write a clip as float32 (bit-exact round trip) or PCM16 WAV."""
-    path = Path(path)
-    if encoding == "float32":
-        payload = clip.samples.astype(np.float32)
-    elif encoding == "pcm16":
-        scaled = np.clip(np.round(clip.samples * 32768.0), -32768, 32767)
-        payload = scaled.astype(np.int16)
-    else:
-        raise UnsupportedEncodingError(f"unsupported WAV encoding: {encoding}")
-    wavfile.write(str(path), int(round(clip.sample_rate_hz)), payload)
+def save_wav(path, clip: AudioClip) -> None:
+    """Write a clip as a float32 WAV (bit-exact round trip via load_wav)."""
+    wavfile.write(str(path), int(round(clip.sample_rate_hz)),
+                  clip.samples.astype(np.float32))
 
 
 def normalize_unit(clip: AudioClip) -> AudioClip:
@@ -121,10 +102,10 @@ def normalize_unit(clip: AudioClip) -> AudioClip:
     peak = float(np.max(np.abs(clip.samples)))
     if peak == 0.0:
         return clip
-    return AudioClip(clip.samples / peak, clip.sample_rate_hz, clip.label_tag)
+    return AudioClip(clip.samples / peak, clip.sample_rate_hz)
 
 
-def frame_windows(clip: AudioClip, window_s: float = 2.0) -> WindowSet:
+def frame_windows(clip: AudioClip, window_s: float = 2.0) -> list[AudioClip]:
     """Cut a clip into contiguous non-overlapping windows of window_s seconds.
 
     The trailing remainder shorter than one window is discarded.
@@ -136,15 +117,11 @@ def frame_windows(clip: AudioClip, window_s: float = 2.0) -> WindowSet:
             f"clip of {len(clip)} samples is shorter than one "
             f"{window_len}-sample window"
         )
-    windows = [
-        AudioClip(
-            clip.samples[m * window_len : (m + 1) * window_len],
-            clip.sample_rate_hz,
-            clip.label_tag,
-        )
+    return [
+        AudioClip(clip.samples[m * window_len : (m + 1) * window_len],
+                  clip.sample_rate_hz)
         for m in range(n)
     ]
-    return WindowSet(windows=windows, window_len_samples=window_len)
 
 
 def mean_square_power(clip: AudioClip) -> float:

@@ -84,7 +84,12 @@ class PipelineConfig:
         return [e.strip() for e in self.experiments.split(",") if e.strip()]
 
     def snr_list(self) -> list[float]:
-        return [float(s) for s in self.snr_values.split(",") if s.strip()]
+        try:
+            return [float(s) for s in self.snr_values.split(",") if s.strip()]
+        except ValueError:
+            raise UsageError(
+                f"snr_values expects comma-separated numbers, "
+                f"got '{self.snr_values}'") from None
 
     def to_lines(self) -> list[str]:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
@@ -110,7 +115,12 @@ class PipelineConfig:
                             f"{path}:{lineno}: '{key}' expects true/false")
                     overrides[key] = value.lower() in ("true", "1")
                 else:
-                    overrides[key] = types[key](value)
+                    try:
+                        overrides[key] = types[key](value)
+                    except ValueError:
+                        raise UsageError(
+                            f"{path}:{lineno}: '{key}' expects "
+                            f"{types[key].__name__}, got '{value}'") from None
         return replace(cfg, **overrides)
 
 
@@ -243,13 +253,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = svm_mod.load_model(args.model)
     X = load_features(args.feature_file)
-    preds = svm_mod.predict_batch(model, X)
-    values = X @ model.weights + model.bias
+    values = svm_mod.decision_values(model, X)
     with open(args.out, "w") as fh:
         fh.write("sample_index,prediction,decision_value\n")
-        for i, (p, v) in enumerate(zip(preds, values)):
-            fh.write(f"{i},{p},{v:.9f}\n")
-    print(f"wrote {len(preds)} predictions to {args.out}")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{int(v > 0.0)},{v:.9f}\n")
+    print(f"wrote {len(values)} predictions to {args.out}")
     return EXIT_OK
 
 
@@ -262,19 +271,13 @@ def cmd_evaluate(args) -> int:
         n_test=cfg.n_test, seed=cfg.seed, c_param=cfg.c_param,
         max_iter=cfg.svm_max_iter, standardize=cfg.feature_scaling,
     )
-    counts = result.mean_counts()
+    cell = ev.SweepCell.from_result("-", float("nan"), result)
     with open(args.out, "w") as fh:
         fh.write(",".join(ev.SWEEP_CSV_FIELDS) + "\n")
-        fh.write(
-            f"-, -,{result.n_iter},"
-            f"{result.mean_correct_recognition:.6f},"
-            f"{result.std_correct_recognition:.6f},"
-            f"{result.mean_false_alarm:.6f},{result.std_false_alarm:.6f},"
-            f"{counts['tp']:.3f},{counts['fp']:.3f},"
-            f"{counts['fn']:.3f},{counts['tn']:.3f}\n"
-        )
-    print(f"correct_recognition={result.mean_correct_recognition:.4f} "
-          f"false_alarm={result.mean_false_alarm:.4f} -> {args.out}")
+        # one pool has no SNR; " -" keeps the row's established "-, -" prefix
+        fh.write(",".join(ev.sweep_row(cell, snr_text=" -")) + "\n")
+    print(f"correct_recognition={cell.mean_correct_recognition:.4f} "
+          f"false_alarm={cell.mean_false_alarm:.4f} -> {args.out}")
     return EXIT_OK
 
 

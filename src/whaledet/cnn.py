@@ -212,21 +212,14 @@ def prepare_input(net: Network, image: GrayImage | np.ndarray) -> np.ndarray:
     return stack
 
 
-def extract_code(
-    net: Network, image: GrayImage | np.ndarray, l2_normalize: bool = False
-) -> np.ndarray:
+def extract_code(net: Network, image: GrayImage | np.ndarray) -> np.ndarray:
     """Feature code: activations of the designated fc layer.
 
     Layers after code_layer_index (top classifier and softmax) are skipped.
     """
     if not isinstance(net.layers[net.code_layer_index], FcLayer):
         raise NetworkError("code_layer_index must point at an fc layer")
-    code = forward(net, prepare_input(net, image), upto=net.code_layer_index)
-    if l2_normalize:
-        norm = np.linalg.norm(code)
-        if norm > 0:
-            code = code / norm
-    return code
+    return forward(net, prepare_input(net, image), upto=net.code_layer_index)
 
 
 def validate_network(net: Network) -> None:

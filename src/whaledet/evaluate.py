@@ -196,6 +196,17 @@ class SweepCell:
     mean_fn: float
     mean_tn: float
 
+    @classmethod
+    def from_result(cls, experiment_id: str, snr_db: float,
+                    result: MonteCarloResult) -> "SweepCell":
+        counts = result.mean_counts()
+        return cls(
+            experiment_id, snr_db, result.n_iter,
+            result.mean_correct_recognition, result.std_correct_recognition,
+            result.mean_false_alarm, result.std_false_alarm,
+            counts["tp"], counts["fp"], counts["fn"], counts["tn"],
+        )
+
 
 @dataclass
 class SweepResult:
@@ -250,20 +261,7 @@ def snr_sweep(
                 seed=cell_seed, c_param=c_param, max_iter=svm_max_iter,
                 standardize=standardize,
             )
-            counts = result.mean_counts()
-            cells.append(SweepCell(
-                experiment_id=exp,
-                snr_db=float(snr_db),
-                n_iter=result.n_iter,
-                mean_correct_recognition=result.mean_correct_recognition,
-                std_correct_recognition=result.std_correct_recognition,
-                mean_false_alarm=result.mean_false_alarm,
-                std_false_alarm=result.std_false_alarm,
-                mean_tp=counts["tp"],
-                mean_fp=counts["fp"],
-                mean_fn=counts["fn"],
-                mean_tn=counts["tn"],
-            ))
+            cells.append(SweepCell.from_result(exp, float(snr_db), result))
     return SweepResult(cells=cells)
 
 
@@ -275,19 +273,23 @@ SWEEP_CSV_FIELDS = (
 )
 
 
+def sweep_row(c: SweepCell, snr_text: str | None = None) -> list[str]:
+    """The SWEEP_CSV_FIELDS of one cell; snr_text replaces the SNR column."""
+    return [
+        c.experiment_id, f"{c.snr_db:.1f}" if snr_text is None else snr_text,
+        str(c.n_iter),
+        f"{c.mean_correct_recognition:.6f}", f"{c.std_correct_recognition:.6f}",
+        f"{c.mean_false_alarm:.6f}", f"{c.std_false_alarm:.6f}",
+        f"{c.mean_tp:.3f}", f"{c.mean_fp:.3f}",
+        f"{c.mean_fn:.3f}", f"{c.mean_tn:.3f}",
+    ]
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_FIELDS)
-        for c in result.cells:
-            writer.writerow([
-                c.experiment_id, f"{c.snr_db:.1f}", c.n_iter,
-                f"{c.mean_correct_recognition:.6f}",
-                f"{c.std_correct_recognition:.6f}",
-                f"{c.mean_false_alarm:.6f}", f"{c.std_false_alarm:.6f}",
-                f"{c.mean_tp:.3f}", f"{c.mean_fp:.3f}",
-                f"{c.mean_fn:.3f}", f"{c.mean_tn:.3f}",
-            ])
+        writer.writerows(sweep_row(c) for c in result.cells)
 
 
 def write_confusion_csv(result: SweepResult, path) -> None:

@@ -18,23 +18,13 @@ import numpy as np
 
 from .audio import AudioClip
 from .cnn import Network, extract_code
-from .spectrogram import GrayImage, StftParams, stft_spectrogram, to_image
+from .spectrogram import StftParams, stft_spectrogram, to_image
 
 FEATURE_MODES = ("cnn", "spectrogram")
 
 
 class FeatureError(Exception):
     pass
-
-
-def clip_to_image(
-    clip: AudioClip,
-    params: StftParams | None = None,
-    width: int = 256,
-    height: int = 256,
-) -> GrayImage:
-    """dB spectrogram of one analysis window rendered as a uint8 image."""
-    return to_image(stft_spectrogram(clip, params), width=width, height=height)
 
 
 def featurize_clips(
@@ -44,7 +34,6 @@ def featurize_clips(
     params: StftParams | None = None,
     width: int = 256,
     height: int = 256,
-    l2_normalize: bool = False,
 ) -> np.ndarray:
     """Feature matrix (n_clips x dim) for a list of analysis windows."""
     if mode not in FEATURE_MODES:
@@ -53,9 +42,9 @@ def featurize_clips(
         raise FeatureError("cnn feature mode requires a network")
     rows = []
     for clip in clips:
-        image = clip_to_image(clip, params, width=width, height=height)
+        image = to_image(stft_spectrogram(clip, params), width=width, height=height)
         if mode == "cnn":
-            rows.append(extract_code(network, image, l2_normalize=l2_normalize))
+            rows.append(extract_code(network, image))
         else:
             rows.append(image.pixels.astype(np.float64).ravel() / 255.0)
     return np.vstack(rows)
@@ -97,4 +86,7 @@ def load_labels(path) -> np.ndarray:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise FeatureError(f"{path}: empty label file")
-    return np.asarray([int(r["label"]) for r in rows], dtype=np.int64)
+    try:
+        return np.asarray([int(r["label"]) for r in rows], dtype=np.int64)
+    except (KeyError, TypeError, ValueError):
+        raise FeatureError(f"{path}: every row needs an integer label") from None

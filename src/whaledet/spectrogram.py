@@ -3,7 +3,10 @@
 The STFT uses Hamming-windowed segments (default 1024 samples, 50% overlap)
 zero-padded to the FFT size (default 2048), giving 1025 one-sided bins and,
 for a 2-s window at 44.1 kHz, exactly 171 frames.  The dB grid is
-10*log10(|X|/p_ref^2) by default; a config switch selects |X|^2 instead.
+10*log10(|X|) of the magnitude, floored at DB_FLOOR so silence stays
+finite.  A reference level or the |X|^2 convention would only shift or scale
+the grid, and the min-max gray scaling of to_image cancels such an affine
+change (up to rounding), so neither is configurable.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioClip
+
+
+DB_FLOOR = 1e-12
 
 
 class SpectrogramError(Exception):
@@ -25,11 +31,6 @@ class StftParams:
     hop: int = 512
     fft_size: int = 2048
     window_fn: str = "hamming"
-    p_ref: float = 1.0
-    # dB of squared magnitude instead of magnitude (the default follows the
-    # magnitude convention verbatim).
-    power_spectrum: bool = False
-    db_floor: float = 1e-12
 
     def __post_init__(self):
         if not (self.hop <= self.segment_len <= self.fft_size):
@@ -107,10 +108,7 @@ def stft_spectrogram(clip: AudioClip, params: StftParams | None = None) -> Spect
     """dB spectrogram of one analysis window."""
     params = params or StftParams()
     mag = stft_magnitude(clip, params)
-    quantity = np.square(mag) if params.power_spectrum else mag
-    values_db = 10.0 * np.log10(
-        np.maximum(quantity, params.db_floor) / params.p_ref**2
-    )
+    values_db = 10.0 * np.log10(np.maximum(mag, DB_FLOOR))
     return Spectrogram(
         values_db=values_db,
         freq_resolution_hz=clip.sample_rate_hz / params.fft_size,
@@ -152,30 +150,12 @@ def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
     return top * (1 - wy) + bot * wy
 
 
-def resize_nearest(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
-    in_h, in_w = img.shape
-    ys = np.clip(np.round(np.linspace(0.0, in_h - 1.0, height)).astype(int), 0, in_h - 1)
-    xs = np.clip(np.round(np.linspace(0.0, in_w - 1.0, width)).astype(int), 0, in_w - 1)
-    return img[ys][:, xs]
-
-
-def to_image(
-    spec: Spectrogram,
-    width: int = 256,
-    height: int = 256,
-    interpolation: str = "bilinear",
-) -> GrayImage:
+def to_image(spec: Spectrogram, width: int = 256, height: int = 256) -> GrayImage:
     """Render the dB grid as a uint8 image, low frequency at the bottom row."""
     if spec.values_db.size == 0:
         raise SpectrogramError("empty spectrogram")
     scaled = gray_scale(spec.values_db)[::-1, :]  # bin 0 goes to the bottom
-    if interpolation == "bilinear":
-        resized = resize_bilinear(scaled, height, width)
-    elif interpolation == "nearest":
-        resized = resize_nearest(scaled, height, width)
-    else:
-        raise SpectrogramError(f"unknown interpolation: {interpolation}")
+    resized = resize_bilinear(scaled, height, width)
     return GrayImage(np.clip(np.round(resized), 0, 255).astype(np.uint8))
 
 
@@ -185,8 +165,3 @@ def save_pgm(image: GrayImage, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(image.pixels.tobytes())
-
-
-def save_db_csv(spec: Spectrogram, path) -> None:
-    """Export the dB grid as CSV, one row per frequency bin."""
-    np.savetxt(path, spec.values_db, delimiter=",", fmt="%.6f")

@@ -134,28 +134,19 @@ def train(
     )
 
 
-def decision_value(model: SvmModel, x: np.ndarray) -> float:
-    """Raw margin w.x + b (enables threshold sweeps beyond the 0 cut)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if len(x) != model.dim:
+def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """Raw margins w.x + b of the rows of X (enables threshold sweeps)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.dim:
         raise DimensionMismatchError(
-            f"feature dim {len(x)} does not match model dim {model.dim}"
+            f"feature matrix of shape {X.shape} does not match model dim {model.dim}"
         )
-    return float(model.weights @ x + model.bias)
-
-
-def predict(model: SvmModel, x: np.ndarray) -> int:
-    """1 if w.x + b > 0 else 0; an exact-zero margin maps to 0."""
-    return 1 if decision_value(model, x) > 0.0 else 0
+    return X @ model.weights + model.bias
 
 
 def predict_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"feature dim {X.shape[1]} does not match model dim {model.dim}"
-        )
-    return (X @ model.weights + model.bias > 0.0).astype(np.int64)
+    """1 where w.x + b > 0 else 0, per row; an exact-zero margin maps to 0."""
+    return (decision_values(model, X) > 0.0).astype(np.int64)
 
 
 def save_model(model: SvmModel, path) -> None:
@@ -172,10 +163,13 @@ def load_model(path) -> SvmModel:
         header = fh.readline().split()
         if len(header) != 3:
             raise SvmError(f"{path}: malformed model header")
-        dim = int(header[0])
-        c_param = float(header[1])
-        bias = float(header[2])
-        weights = np.array([float(line) for line in fh], dtype=np.float64)
+        try:
+            dim = int(header[0])
+            c_param = float(header[1])
+            bias = float(header[2])
+            weights = np.array([float(line) for line in fh], dtype=np.float64)
+        except ValueError as exc:
+            raise SvmError(f"{path}: non-numeric model value: {exc}") from exc
     if len(weights) != dim:
         raise SvmError(f"{path}: expected {dim} weights, found {len(weights)}")
     return SvmModel(weights=weights, bias=bias, c_param=c_param)

@@ -99,12 +99,9 @@ def snr_gain(signal_power: float, noise_power: float, snr_db: float) -> float:
     return math.sqrt(signal_power / noise_power) * 10.0 ** (-snr_db / 20.0)
 
 
-def mix_at_snr(sig: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
-    """signal + a*noise with the noise scaled to hit the requested SNR.
-
-    The signal is left untouched; the mixture is not re-normalized (that
-    would silently change the SNR), so samples may exceed [-1, 1].
-    """
+def _scaled_noise(sig: AudioClip, noise: AudioClip,
+                  snr_db: float) -> tuple[float, np.ndarray]:
+    """Signal power P_s and the noise samples scaled by snr_gain."""
     if len(sig) != len(noise):
         raise SynthError(
             f"length mismatch: signal {len(sig)} vs noise {len(noise)}"
@@ -115,8 +112,17 @@ def mix_at_snr(sig: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
         raise SynthError("zero-power signal cannot be mixed at a target SNR")
     if p_n == 0.0:
         raise SynthError("zero-power noise cannot be mixed at a target SNR")
-    a = snr_gain(p_s, p_n, snr_db)
-    return AudioClip(sig.samples + a * noise.samples, sig.sample_rate_hz)
+    return p_s, snr_gain(p_s, p_n, snr_db) * noise.samples
+
+
+def mix_at_snr(sig: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
+    """signal + a*noise with the noise scaled to hit the requested SNR.
+
+    The signal is left untouched; the mixture is not re-normalized (that
+    would silently change the SNR), so samples may exceed [-1, 1].
+    """
+    return AudioClip(sig.samples + _scaled_noise(sig, noise, snr_db)[1],
+                     sig.sample_rate_hz)
 
 
 def _unit_window(unit: AudioClip, window_len: int, rng) -> AudioClip:
@@ -126,22 +132,18 @@ def _unit_window(unit: AudioClip, window_len: int, rng) -> AudioClip:
     if n >= window_len:
         start = int(rng.integers(0, n - window_len + 1))
         return AudioClip(unit.samples[start : start + window_len],
-                         unit.sample_rate_hz, unit.label_tag)
+                         unit.sample_rate_hz)
     buf = np.zeros(window_len)
     start = (window_len - n) // 2
     buf[start : start + n] = unit.samples
-    return AudioClip(buf, unit.sample_rate_hz, unit.label_tag)
+    return AudioClip(buf, unit.sample_rate_hz)
 
 
 def _noise_window(bank: NoiseBank, noise_types, window_len: int, rng):
     nt = noise_types[int(rng.integers(0, len(noise_types)))]
     clips = bank.entries[nt]
     ci = int(rng.integers(0, len(clips)))
-    clip = clips[ci]
-    if len(clip) < window_len:
-        raise SynthError(
-            f"noise clip {ci} of type '{nt}' too short for one window"
-        )
+    clip = clips[ci]  # NoiseBank.require has checked it covers a window
     offset = int(rng.integers(0, len(clip) - window_len + 1))
     seg = AudioClip(clip.samples[offset : offset + window_len],
                     clip.sample_rate_hz)
@@ -172,16 +174,12 @@ def build_experiment(
             nt, ci, offset, noise_seg = _noise_window(
                 bank, cfg.noise_types, window_len, rng
             )
-            mixed = mix_at_snr(sig, noise_seg, cfg.snr_db)
-            a = snr_gain(mean_square_power(sig), mean_square_power(noise_seg),
-                         cfg.snr_db)
+            p_s, scaled = _scaled_noise(sig, noise_seg, cfg.snr_db)
             achieved = 10.0 * math.log10(
-                mean_square_power(sig)
-                / mean_square_power(AudioClip(a * noise_seg.samples, sr))
-            )
+                p_s / mean_square_power(AudioClip(scaled, sr)))
             samples.append(
                 MixedSample(
-                    audio=mixed,
+                    audio=AudioClip(sig.samples + scaled, sig.sample_rate_hz),
                     label=1,
                     provenance=Provenance(
                         unit_id=f"unit_{ui:04d}",
@@ -300,7 +298,7 @@ def synth_noise(
                 break
             x += np.sin(h * phase0 + rng.uniform(0, 2 * np.pi)) / h
         x += 0.05 * rng.standard_normal(n)
-    elif noise_type == "chorus":
+    else:  # chorus
         x = 1e-4 * rng.standard_normal(n)  # floor keeps every window non-zero
         t_cursor = -0.5
         while t_cursor < duration_s:
@@ -321,8 +319,6 @@ def synth_noise(
             if end > start:
                 x[start:end] += seg[: end - start]
             t_cursor += rng.uniform(0.3, 0.9)
-    else:
-        raise SynthError(f"unknown noise type: {noise_type}")
     return AudioClip(x, sample_rate)
 
 
@@ -403,7 +399,7 @@ def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:
         writer.writerow(MANIFEST_FIELDS)
         for k, s in enumerate(samples):
             wav_name = f"sample_{k:05d}.wav"
-            save_wav(out_dir / wav_name, s.audio, encoding="float32")
+            save_wav(out_dir / wav_name, s.audio)
             p = s.provenance
             writer.writerow([
                 wav_name, s.label, p.unit_id, p.noise_type, p.noise_id,
@@ -427,7 +423,10 @@ def read_dataset(out_dir) -> tuple[list[AudioClip], np.ndarray]:
         for row in csv.DictReader(fh):
             try:
                 clips.append(load_wav(out_dir / row["sample_id"]))
+                labels.append(int(row["label"]))
             except AudioError as exc:
                 raise SynthError(f"dataset sample unreadable: {exc}") from exc
-            labels.append(int(row["label"]))
+            except (KeyError, TypeError, ValueError):
+                raise SynthError(f"{manifest}: every row needs a sample_id "
+                                 "and an integer label") from None
     return clips, np.asarray(labels, dtype=np.int64)

@@ -182,7 +182,11 @@ def test_criterion_5_end_to_end_desk_scale():
             f"E6<=E1={c}, {elapsed:.0f}s (<600s)")
 
 
-def test_criterion_6_sweep_determinism(tmp_path):
+SWEEP_CSVS = ("sweep_results.csv", "confusion_matrices.csv")
+
+
+def _criterion_6_sweep(tmp_path, name):
+    """The two sweep CSVs of criterion 6's small cnn grid, as bytes."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join([
         "sample_rate=8000", "segment_len=512", "hop=256", "fft_size=512",
@@ -190,20 +194,29 @@ def test_criterion_6_sweep_determinism(tmp_path):
         "bank_clips_per_type=1", "n_pos=12", "n_neg=12", "n_iter=3",
         "n_train=14", "n_test=8", "svm_max_iter=200",
     ]) + "\n")
-    outputs = []
-    for d in ("run1", "run2"):
-        out = tmp_path / d
-        rc = main(["sweep", "--config", str(cfg), "--experiment", "E1",
-                   "--experiment", "E6", "--snr", "-10", "--snr", "10",
-                   "--seed", "42", "--out", str(out)])
-        assert rc == 0
-        outputs.append(tuple(
-            (out / name).read_bytes()
-            for name in ("sweep_results.csv", "confusion_matrices.csv")))
+    out = tmp_path / name
+    rc = main(["sweep", "--config", str(cfg), "--experiment", "E1",
+               "--experiment", "E6", "--snr", "-10", "--snr", "10",
+               "--seed", "42", "--out", str(out)])
+    assert rc == 0
+    return tuple((out / csv_name).read_bytes() for csv_name in SWEEP_CSVS)
+
+
+def test_criterion_6_sweep_determinism(tmp_path):
+    outputs = [_criterion_6_sweep(tmp_path, d) for d in ("run1", "run2")]
     ok = outputs[0] == outputs[1]
     _report("criterion 6 sweep determinism", ok,
             "rerun with identical seeds is byte-identical"
             if ok else "rerun output differs")
+
+
+def test_criterion_6_sweep_matches_golden(tmp_path):
+    golden_dir = Path(__file__).parent / "data" / "sweep_golden"
+    golden = tuple((golden_dir / name).read_bytes() for name in SWEEP_CSVS)
+    ok = _criterion_6_sweep(tmp_path, "run") == golden
+    _report("criterion 6 sweep golden", ok,
+            "sweep CSVs byte-identical to tests/data/sweep_golden"
+            if ok else "sweep CSVs differ from tests/data/sweep_golden")
 
 
 def test_criterion_7_representation_comparison(tmp_path, capsys):

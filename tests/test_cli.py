@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from whaledet.cli import PipelineConfig, main
 from whaledet.cnn import save_network, tiny_vgg
@@ -198,3 +199,54 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset):
                      "--out", str(feat)]) == 0
         outputs.append(feat.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind, text, code", [
+    ("config", "seed=abc\n", 1),
+    ("config", "snr_values=0,loud\n", 1),
+    ("labels", "sample_index,label\n0,1\n1,x\n", 2),
+    ("labels", "sample_index,label\n0,1\n1\n", 2),
+    ("labels", "sample_index,class\n0,1\n", 2),
+    ("model", "6 1.0 zero\n" + "0.0\n" * 6, 2),
+    ("model", "6 1.0 0.0\n" + "0.0\n" * 5 + "w\n", 2),
+    ("manifest", "sample_id,label\ns0.wav,whale\n", 2),
+], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
+        "label-column-missing", "model-header", "model-weight",
+        "manifest-label"])
+def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
+    feat, _ = _oracle_feature_files(tmp_path)
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    wavfile.write(str(ds / "s0.wav"), 8000, np.ones(16000, dtype=np.float32))
+    bad = ds / "manifest.csv" if kind == "manifest" else tmp_path / "bad.txt"
+    bad.write_text(text)
+    out = str(tmp_path / "out")
+    argv = {
+        "config": ["synth", "--config", str(bad), "--experiment", "E1",
+                   "--out", out],
+        "labels": ["train", "--features", str(feat), "--labels", str(bad),
+                   "--out", out],
+        "model": ["predict", "--model", str(bad), "--features", str(feat),
+                  "--out", out],
+        "manifest": ["featurize", "--config", _cfg(tmp_path), "--in",
+                     str(ds), "--features", "spectrogram", "--out", out],
+    }[kind]
+    try:
+        rc = main(argv)
+    except Exception as exc:  # the contract is an exit code, never a traceback
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert rc == code
+    assert capsys.readouterr().err.strip()
+
+
+def test_featurize_rejects_nan_wav(tmp_path, capsys):
+    samples = np.zeros(3 * 8000, dtype=np.float32)
+    samples[100] = np.nan
+    wav = tmp_path / "nan.wav"
+    wavfile.write(str(wav), 8000, samples)
+    feat = tmp_path / "nan.feat"
+    rc = main(["featurize", "--config", _cfg(tmp_path), "--in", str(wav),
+               "--features", "spectrogram", "--out", str(feat)])
+    assert rc == 2
+    assert "nan.wav" in capsys.readouterr().err
+    assert not feat.exists()

@@ -99,15 +99,6 @@ def test_db_floor_keeps_values_finite():
     assert np.isfinite(spec.values_db).all()
 
 
-def test_power_spectrum_switch():
-    clip = AudioClip(np.random.default_rng(2).standard_normal(4096), SR)
-    mag_db = stft_spectrogram(clip, StftParams()).values_db
-    pow_db = stft_spectrogram(clip, StftParams(power_spectrum=True)).values_db
-    # where nothing is floored, power dB is exactly twice magnitude dB
-    mask = mag_db > -100
-    assert np.allclose(pow_db[mask], 2 * mag_db[mask], atol=1e-9)
-
-
 def test_constant_spectrogram_maps_to_128():
     spec = _spec_from_grid(np.full((10, 8), -42.0))
     img = to_image(spec, width=8, height=10)

@@ -7,9 +7,8 @@ from whaledet.svm import (
     NonFiniteFeatureError,
     SingleClassError,
     SvmModel,
-    decision_value,
+    decision_values,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -32,7 +31,7 @@ def test_separable_data_perfect_training_accuracy():
     assert (preds == data.labels).all()
     # decision is driven by the x-coordinate: exhaustive margin check
     for x, lab in zip(data.features, data.labels):
-        assert predict(model, x) == (1 if x[0] > 0 else 0) == lab
+        assert predict_batch(model, x[None, :])[0] == (1 if x[0] > 0 else 0) == lab
 
 
 def test_degenerate_identical_features_mixed_labels():
@@ -52,8 +51,8 @@ def test_duplicated_dataset_same_decision_function():
     m2 = train(doubled, tol=1e-8, max_iter=10000)
     grid = np.array([[x, y] for x in np.linspace(-3, 3, 7)
                      for y in np.linspace(-3, 3, 7)])
-    v1 = grid @ m1.weights + m1.bias
-    v2 = grid @ m2.weights + m2.bias
+    v1 = decision_values(m1, grid)
+    v2 = decision_values(m2, grid)
     assert np.abs(v1 - v2).max() < 1e-6
 
 
@@ -87,44 +86,50 @@ def test_training_errors_are_distinct():
 
 
 def test_predict_trivial_cases():
-    assert predict(SvmModel(np.array([1.0, 0.0]), 0.0, 1.0),
-                   np.array([3.0, -5.0])) == 1
-    assert predict(SvmModel(np.zeros(2), -1.0, 1.0), np.ones(2)) == 0
+    assert predict_batch(SvmModel(np.array([1.0, 0.0]), 0.0, 1.0),
+                         np.array([[3.0, -5.0]])).tolist() == [1]
+    assert predict_batch(SvmModel(np.zeros(2), -1.0, 1.0),
+                         np.ones((1, 2))).tolist() == [0]
     # documented tie-break: exact zero margin -> 0
-    assert predict(SvmModel(np.array([1.0]), -2.0, 1.0), np.array([2.0])) == 0
+    tie = SvmModel(np.array([1.0]), -2.0, 1.0)
+    assert decision_values(tie, np.array([[2.0]])).tolist() == [0.0]
+    assert predict_batch(tie, np.array([[2.0]])).tolist() == [0]
 
 
 def test_decision_value_and_linearity():
     model = SvmModel(np.array([1.0, 1.0]), 0.5, 1.0)
-    assert decision_value(model, np.array([1.0, 1.0])) == pytest.approx(2.5)
-    x = np.array([0.7, -1.3])
-    base = decision_value(model, x) - model.bias
-    scaled = decision_value(model, 3.0 * x) - model.bias
+    assert decision_values(model, np.array([[1.0, 1.0]]))[0] == pytest.approx(2.5)
+    x = np.array([[0.7, -1.3]])
+    base = decision_values(model, x)[0] - model.bias
+    scaled = decision_values(model, 3.0 * x)[0] - model.bias
     assert scaled == pytest.approx(3.0 * base)
 
 
 def test_decision_value_matches_naive_dot():
     rng = np.random.default_rng(13)
     model = SvmModel(rng.standard_normal(17), float(rng.standard_normal()), 1.0)
-    x = rng.standard_normal(17)
-    acc = model.bias
-    for wi, xi in zip(model.weights, x):
-        acc += wi * xi
-    assert decision_value(model, x) == pytest.approx(acc, abs=1e-9)
+    X = rng.standard_normal((4, 17))
+    for x, value in zip(X, decision_values(model, X)):
+        acc = model.bias
+        for wi, xi in zip(model.weights, x):
+            acc += wi * xi
+        assert value == pytest.approx(acc, abs=1e-9)
 
 
 def test_predict_consistent_with_decision_value():
     rng = np.random.default_rng(14)
     model = SvmModel(rng.standard_normal(5), 0.1, 1.0)
     for _ in range(50):
-        x = rng.standard_normal(5)
-        assert predict(model, x) == int(decision_value(model, x) > 0)
+        x = rng.standard_normal((1, 5))
+        assert predict_batch(model, x)[0] == int(decision_values(model, x)[0] > 0)
 
 
 def test_dim_mismatch():
     model = SvmModel(np.zeros(3), 0.0, 1.0)
     with pytest.raises(DimensionMismatchError):
-        predict(model, np.zeros(4))
+        decision_values(model, np.zeros((1, 4)))
+    with pytest.raises(DimensionMismatchError):
+        decision_values(model, np.zeros(3))  # a bare vector is not a matrix
     with pytest.raises(DimensionMismatchError):
         predict_batch(model, np.zeros((2, 5)))
 
