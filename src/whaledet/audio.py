@@ -34,6 +34,10 @@ class NonFiniteAudioError(AudioError):
     """NaN or infinite sample in a float WAV payload."""
 
 
+class SampleRateMismatchError(AudioError):
+    """Clip sample rate differs from the rate the pipeline is set up for."""
+
+
 class WindowingError(AudioError):
     """Clip too short for the requested analysis window."""
 

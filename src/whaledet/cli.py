@@ -17,7 +17,12 @@ import numpy as np
 
 from . import evaluate as ev
 from . import svm as svm_mod
-from .audio import AudioError, frame_windows, load_wav
+from .audio import (
+    AudioError,
+    SampleRateMismatchError,
+    frame_windows,
+    load_wav,
+)
 from .cnn import NetworkError, load_network, tiny_vgg
 from .features import (
     FEATURE_MODES,
@@ -226,6 +231,12 @@ def cmd_featurize(args) -> int:
         clip = load_wav(in_dir)
         clips = list(frame_windows(clip, cfg.window_s))
         labels = np.full(len(clips), -1, dtype=np.int64)
+    rates = {c.sample_rate_hz for c in clips} - {cfg.sample_rate}
+    if rates:
+        raise SampleRateMismatchError(
+            f"{in_dir}: audio at {', '.join(f'{r:g}' for r in sorted(rates))} Hz, "
+            f"config sample_rate is {cfg.sample_rate:g} Hz"
+        )
     X = _make_featurizer(cfg)(clips)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

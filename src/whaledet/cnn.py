@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectrogram import GrayImage
 
@@ -118,7 +119,12 @@ class Network:
 
 
 def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """ReLU(sum_n phi_in (*) x_n + b_i) per output channel, cross-correlation."""
+    """ReLU(sum_n phi_in (*) x_n + b_i) per output channel, cross-correlation.
+
+    Lowered to one matrix product (im2col): each output pixel's receptive
+    field across all input channels becomes one column of a matrix that the
+    flattened kernels multiply from the left.
+    """
     x = np.asarray(x, dtype=np.float64)
     out_ch, in_ch, kh, kw = layer.weights.shape
     if x.ndim != 3 or x.shape[0] != in_ch:
@@ -128,28 +134,27 @@ def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     s, p = layer.stride, layer.pad
     xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
     H, W = xp.shape[1], xp.shape[2]
-    out_h = (H - kh) // s + 1
-    out_w = (W - kw) // s + 1
-    if out_h < 1 or out_w < 1:
+    if H < kh or W < kw:
         raise ShapeChainError(
             f"conv kernel {kh}x{kw} larger than padded input {H}x{W}"
         )
-    out = np.zeros((out_ch, out_h, out_w))
-    for dy in range(kh):
-        for dx in range(kw):
-            patch = xp[:, dy : dy + s * out_h : s, dx : dx + s * out_w : s]
-            out += np.tensordot(layer.weights[:, :, dy, dx], patch, axes=([1], [0]))
+    # (in_ch, out_h, out_w, kh, kw) view of every receptive field
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    out_h, out_w = windows.shape[1], windows.shape[2]
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(-1, out_h * out_w)
+    out = (layer.weights.reshape(out_ch, -1) @ cols).reshape(out_ch, out_h, out_w)
     out += layer.bias[:, None, None]
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def maxpool_forward(x: np.ndarray) -> np.ndarray:
     """2x2/stride-2 max pooling; trailing odd row/column is dropped."""
     x = np.asarray(x, dtype=np.float64)
-    c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    trimmed = x[:, : 2 * h2, : 2 * w2]
-    return trimmed.reshape(c, h2, 2, w2, 2).max(axis=(2, 4))
+    _, h, w = x.shape
+    x = x[:, : h - h % 2, : w - w % 2]
+    top = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
+    bottom = np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2])
+    return np.maximum(top, bottom, out=top)
 
 
 def fc_forward(x: np.ndarray, layer: FcLayer) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioClip
 
@@ -95,11 +96,8 @@ def stft_magnitude(clip: AudioClip, params: StftParams | None = None) -> np.ndar
         raise SpectrogramError(
             f"clip of {len(x)} samples shorter than segment_len {params.segment_len}"
         )
-    n_frames = (len(x) - params.segment_len) // params.hop + 1
-    taper = params.taper()
-    idx = np.arange(params.segment_len)[None, :] + \
-        params.hop * np.arange(n_frames)[:, None]
-    segments = x[idx] * taper[None, :]
+    frames = sliding_window_view(x, params.segment_len)[:: params.hop]
+    segments = frames * params.taper()[None, :]
     spec = np.fft.rfft(segments, n=params.fft_size, axis=1)
     return np.abs(spec).T
 
@@ -124,38 +122,53 @@ def gray_scale(values_db: np.ndarray) -> np.ndarray:
     smaller gray level.
     """
     values_db = np.asarray(values_db, dtype=np.float64)
-    vmin = values_db.min()
-    vmax = values_db.max()
+    return _gray_levels(values_db, values_db.min(), values_db.max())
+
+
+def _gray_levels(values_db: np.ndarray, vmin, vmax) -> np.ndarray:
     if vmax - vmin < 1e-30:
         return np.full(values_db.shape, 128.0)
     return (values_db - vmin) / (vmax - vmin) * 255.0
 
 
-def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Endpoint-aligned bilinear resize of a 2-D float grid."""
-    img = np.asarray(img, dtype=np.float64)
-    in_h, in_w = img.shape
-    ys = np.linspace(0.0, in_h - 1.0, height) if height > 1 else \
-        np.array([(in_h - 1) / 2.0])
-    xs = np.linspace(0.0, in_w - 1.0, width) if width > 1 else \
-        np.array([(in_w - 1) / 2.0])
-    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
-    y1 = np.clip(y0 + 1, 0, in_h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
-    x1 = np.clip(x0 + 1, 0, in_w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
-    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
+def _bilinear_taps(n_in: int, n_out: int):
+    """Endpoint-aligned sample positions: lower index, upper index, weight."""
+    pos = np.linspace(0.0, n_in - 1.0, n_out) if n_out > 1 else \
+        np.array([(n_in - 1) / 2.0])
+    lo = np.clip(np.floor(pos).astype(int), 0, n_in - 1)
+    return lo, np.clip(lo + 1, 0, n_in - 1), pos - lo
+
+
+def _blend(top: np.ndarray, bot: np.ndarray, wy: np.ndarray, width: int):
+    """Bilinear blend of the row pairs (top[k], bot[k]) onto `width` columns."""
+    x0, x1, wx = _bilinear_taps(top.shape[1], width)
+    wx, wy = wx[None, :], wy[:, None]
+    top = top[:, x0] * (1 - wx) + top[:, x1] * wx
+    bot = bot[:, x0] * (1 - wx) + bot[:, x1] * wx
     return top * (1 - wy) + bot * wy
 
 
+def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Endpoint-aligned bilinear resize of a 2-D float grid."""
+    img = np.asarray(img, dtype=np.float64)
+    y0, y1, wy = _bilinear_taps(img.shape[0], height)
+    return _blend(img[y0], img[y1], wy, width)
+
+
 def to_image(spec: Spectrogram, width: int = 256, height: int = 256) -> GrayImage:
-    """Render the dB grid as a uint8 image, low frequency at the bottom row."""
-    if spec.values_db.size == 0:
+    """Render the dB grid as a uint8 image, low frequency at the bottom row.
+
+    Same pixels as resize_bilinear(gray_scale(grid)[::-1], ...), but only the
+    rows the resize reads are gray-scaled.
+    """
+    values_db = spec.values_db
+    if values_db.size == 0:
         raise SpectrogramError("empty spectrogram")
-    scaled = gray_scale(spec.values_db)[::-1, :]  # bin 0 goes to the bottom
-    resized = resize_bilinear(scaled, height, width)
+    flipped = values_db[::-1, :]  # bin 0 goes to the bottom
+    vmin, vmax = values_db.min(), values_db.max()
+    y0, y1, wy = _bilinear_taps(flipped.shape[0], height)
+    resized = _blend(_gray_levels(flipped[y0], vmin, vmax),
+                     _gray_levels(flipped[y1], vmin, vmax), wy, width)
     return GrayImage(np.clip(np.round(resized), 0, 255).astype(np.uint8))
 
 

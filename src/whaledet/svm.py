@@ -141,6 +141,8 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"feature matrix of shape {X.shape} does not match model dim {model.dim}"
         )
+    if not np.isfinite(X).all():
+        raise NonFiniteFeatureError("features contain NaN or infinity")
     return X @ model.weights + model.bias
 
 
@@ -172,4 +174,6 @@ def load_model(path) -> SvmModel:
             raise SvmError(f"{path}: non-numeric model value: {exc}") from exc
     if len(weights) != dim:
         raise SvmError(f"{path}: expected {dim} weights, found {len(weights)}")
+    if not np.isfinite([c_param, bias, *weights]).all():
+        raise SvmError(f"{path}: NaN or infinite model value")
     return SvmModel(weights=weights, bias=bias, c_param=c_param)

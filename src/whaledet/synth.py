@@ -164,6 +164,13 @@ def build_experiment(
     sr = units[0].sample_rate_hz
     window_len = int(round(window_s * sr))
     bank.require(cfg.noise_types, window_len)
+    noise = [c for nt in cfg.noise_types for c in bank.entries[nt]]
+    rates = {c.sample_rate_hz for c in [*units, *noise]} - {sr}
+    if rates:
+        raise SynthError(
+            f"unit and noise clips must share the first unit's sample rate "
+            f"{sr:g} Hz, found {', '.join(f'{r:g}' for r in sorted(rates))} Hz"
+        )
 
     samples: list[MixedSample] = []
     for k in range(n_pos + n_neg):

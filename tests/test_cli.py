@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,15 +191,46 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_jobs_flag_does_not_change_features(tmp_path, small_dataset):
+    # cnn runs a conv GEMM per window inside each worker thread
     cfg, ds = small_dataset
-    outputs = []
-    for jobs in ("1", "3"):
-        feat = tmp_path / f"j{jobs}.feat"
-        assert main(["featurize", "--config", cfg, "--in", str(ds),
-                     "--features", "spectrogram", "--jobs", jobs,
-                     "--out", str(feat)]) == 0
-        outputs.append(feat.read_bytes())
-    assert outputs[0] == outputs[1]
+    for features in ("spectrogram", "cnn"):
+        outputs = []
+        for jobs in ("1", "3"):
+            feat = tmp_path / f"{features}_j{jobs}.feat"
+            assert main(["featurize", "--config", cfg, "--in", str(ds),
+                         "--features", features, "--jobs", jobs,
+                         "--out", str(feat)]) == 0
+            outputs.append(feat.read_bytes())
+        assert outputs[0] == outputs[1], features
+
+
+def _golden_wav(path):
+    """6.5 s float32 chirp in noise at 44.1 kHz: three 2-s windows."""
+    sr = 44100
+    n = int(6.5 * sr)
+    t = np.arange(n) / sr
+    x = 0.3 * np.sin(2 * np.pi * (300.0 * t + 150.0 * t * t))
+    x += 0.05 * np.random.default_rng(2017).standard_normal(n)
+    wavfile.write(str(path), sr, x.astype(np.float32))
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("features", ["cnn", "spectrogram"])
+def test_featurize_matches_golden_digests(tmp_path, features):
+    # default config: 44.1 kHz, 1024/512/2048 STFT, 256x256 image, tiny-vgg
+    golden = Path(__file__).parent / "data" / "featurize_golden" / "SHA256SUMS"
+    digests = {name: digest for digest, name in
+               (line.split() for line in golden.read_text().splitlines())}
+    wav = tmp_path / "golden.wav"
+    _golden_wav(wav)
+    assert _sha256(wav) == digests["golden.wav"]
+    feat = tmp_path / f"{features}.feat"
+    assert main(["featurize", "--in", str(wav), "--features", features,
+                 "--out", str(feat)]) == 0
+    assert _sha256(feat) == digests[f"{features}.feat"]
 
 
 @pytest.mark.parametrize("kind, text, code", [
@@ -209,10 +241,12 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset):
     ("labels", "sample_index,class\n0,1\n", 2),
     ("model", "6 1.0 zero\n" + "0.0\n" * 6, 2),
     ("model", "6 1.0 0.0\n" + "0.0\n" * 5 + "w\n", 2),
+    ("model", "6 1.0 nan\n" + "0.0\n" * 6, 2),
+    ("model", "6 1.0 0.0\n" + "0.0\n" * 5 + "-inf\n", 2),
     ("manifest", "sample_id,label\ns0.wav,whale\n", 2),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
-        "manifest-label"])
+        "model-header-nan", "model-weight-inf", "manifest-label"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, _ = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
@@ -250,3 +284,35 @@ def test_featurize_rejects_nan_wav(tmp_path, capsys):
     assert rc == 2
     assert "nan.wav" in capsys.readouterr().err
     assert not feat.exists()
+
+
+def test_predict_rejects_non_finite_features(tmp_path, capsys):
+    feat, _ = _oracle_feature_files(tmp_path)
+    X = load_features(feat)
+    X[2, 1] = np.nan
+    save_features(feat, X)
+    model_path = tmp_path / "model.txt"
+    save_model(SvmModel(np.ones(6), 0.0, 1.0), model_path)
+    out = tmp_path / "p.csv"
+    rc = main(["predict", "--model", str(model_path), "--features", str(feat),
+               "--out", str(out)])
+    assert rc == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_featurize_rejects_sample_rate_mismatch(tmp_path, capsys,
+                                                small_dataset):
+    cfg, ds = small_dataset  # synthesized at the config's 8 kHz
+    wav = tmp_path / "fast.wav"
+    wavfile.write(str(wav), 16000, np.zeros(3 * 16000, dtype=np.float32))
+    (tmp_path / "16k").mkdir()
+    cfg_16k = _cfg(tmp_path / "16k", ["sample_rate=16000"])
+    for source, config in ((wav, cfg), (ds, cfg_16k)):
+        feat = tmp_path / "f.feat"
+        rc = main(["featurize", "--config", config, "--in", str(source),
+                   "--features", "spectrogram", "--out", str(feat)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sample_rate" in err and str(source) in err
+        assert not feat.exists()

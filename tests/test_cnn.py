@@ -65,6 +65,18 @@ def test_conv_stride_and_padding_match_oracle():
     assert np.abs(got - want).max() < 1e-5
 
 
+def test_conv_odd_sizes_stride_2_no_padding_match_oracle():
+    # odd, non-square input: the last stride-2 window must stop short of
+    # the trailing row and column, as in the nested-loop oracle
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 11, 9))
+    layer = _rand_conv(rng, 5, 3, 4, stride=2, pad=0)
+    got = conv_forward(x, layer)
+    want = naive_conv(x, layer.weights, layer.bias, 2, 0)
+    assert got.shape == want.shape == (5, 4, 3)
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_conv_shape_mismatch_names_shapes():
     layer = ConvLayer(np.zeros((1, 3, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeChainError, match="3 channels"):

@@ -150,3 +150,18 @@ def test_pgm_export(tmp_path):
     payload = path.read_bytes()
     assert payload.startswith(b"P5\n4 4\n255\n")
     assert payload.endswith(bytes(range(16)))
+
+
+def test_to_image_matches_gray_scale_then_resize():
+    # to_image gray-scales only the rows the resize reads; the pixels must
+    # equal those of the whole-grid composition, for shrinking, growing and
+    # constant grids alike
+    rng = np.random.default_rng(5)
+    grids = [rng.normal(-40.0, 20.0, (1025, 171)),
+             rng.normal(0.0, 1.0, (7, 5)), np.full((9, 4), -3.0)]
+    for grid in grids:
+        for height, width in ((256, 256), (16, 3), (1, 1)):
+            want = resize_bilinear(gray_scale(grid)[::-1, :], height, width)
+            want = np.clip(np.round(want), 0, 255).astype(np.uint8)
+            got = to_image(_spec_from_grid(grid), width=width, height=height)
+            assert np.array_equal(got.pixels, want)

@@ -256,3 +256,17 @@ def test_load_noise_bank_layout(tmp_path):
     assert len(bank.entries["wind"][0]) == 4000
     with pytest.raises(SynthError):
         load_noise_bank(tmp_path / "nope")
+
+
+def test_build_experiment_rejects_mixed_sample_rates():
+    units, bank = _small_setup()
+    cfg = ExperimentConfig("E2", snr_db=0.0, seed=0)
+    slow_unit = AudioClip(units[1].samples, SR / 2)
+    with pytest.raises(SynthError, match="sample rate"):
+        build_experiment([units[0], slow_unit], bank, cfg, 2, 2)
+    wind = [AudioClip(c.samples, SR / 2) for c in bank.entries["wind"]]
+    slow_bank = NoiseBank(entries={**bank.entries, "wind": wind})
+    with pytest.raises(SynthError, match="sample rate"):
+        build_experiment(units, slow_bank, cfg, 2, 2)
+    # a noise type the experiment does not use may have any rate
+    build_experiment(units, slow_bank, ExperimentConfig("E3", 0.0, 0), 2, 2)
