@@ -166,13 +166,18 @@ def run_monte_carlo(
         rng = np.random.default_rng([seed, it])
         train_idx, test_idx = _draw_split(pool, n_train, n_test, rng,
                                           iteration=it)
-        x_train = pool.features[train_idx]
+        x_train = pool.features[train_idx]  # fancy indexing: fresh copies
         x_test = pool.features[test_idx]
         if standardize:
+            # in place, with the elementwise steps np.std takes
             mu = x_train.mean(axis=0)
-            sd = np.maximum(x_train.std(axis=0), 1e-12)
-            x_train = (x_train - mu) / sd
-            x_test = (x_test - mu) / sd
+            x_train -= mu
+            sd = np.maximum(
+                np.sqrt(np.add.reduce(x_train * x_train, axis=0) / n_train),
+                1e-12)
+            x_train /= sd
+            x_test -= mu
+            x_test /= sd
         model = svm.train(
             LabeledSet(x_train, pool.labels[train_idx]),
             c_param=c_param, tol=tol, max_iter=max_iter, seed=int(it),

@@ -40,6 +40,8 @@ def featurize_clips(
         raise FeatureError(f"unknown feature mode: {mode}")
     if mode == "cnn" and network is None:
         raise FeatureError("cnn feature mode requires a network")
+    if not clips:
+        raise FeatureError("no clips to featurize")
     rows = []
     for clip in clips:
         image = to_image(stft_spectrogram(clip, params), width=width, height=height)

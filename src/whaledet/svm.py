@@ -7,6 +7,7 @@ augmented constant feature.  Labels are {0, 1} at the interface and mapped to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +63,8 @@ class SvmModel:
     dual_coef: np.ndarray | None = field(default=None, repr=False)
     objective_history: list[float] | None = field(default=None, repr=False)
     n_epochs: int = 0
+    converged: bool = False  # the last epoch's largest violation < tol
+    final_violation: float = math.inf  # that violation (inf: no epoch ran)
 
     @property
     def dim(self) -> int:
@@ -80,6 +83,12 @@ def train(
     Coordinates are visited in a fresh random permutation each epoch;
     training stops when the largest projected-gradient violation over an
     epoch drops below tol, or after max_iter epochs.
+
+    The dual sees the augmented rows Xa only through Q = Xa @ Xa.T.  When
+    n <= d + 1 the loop runs on an n-column factor Z with Z @ Z.T == Q (from
+    the eigendecomposition of the Gram matrix), so a coordinate step costs
+    O(n) instead of O(d); the real weights Xa.T @ (alpha * y) are formed
+    once at the end.
     """
     X = data.features
     if not np.isfinite(X).all():
@@ -97,17 +106,23 @@ def train(
     y = np.where(labels == 1, 1.0, -1.0)
     Xa = np.hstack([X, np.ones((n, 1))])  # augmented constant feature = bias
     q_diag = np.einsum("ij,ij->i", Xa, Xa)
+    if n <= d + 1:
+        lam, vec = np.linalg.eigh(Xa @ Xa.T)
+        Z = vec * np.sqrt(np.maximum(lam, 0.0))
+    else:
+        Z = Xa
     alpha = np.zeros(n)
-    w = np.zeros(d + 1)
+    w = np.zeros(Z.shape[1])  # weights in the coordinates of Z's columns
     rng = np.random.default_rng(seed)
     history: list[float] = []
     epochs = 0
+    max_violation = math.inf
 
     for epoch in range(max_iter):
         epochs = epoch + 1
         max_violation = 0.0
         for i in rng.permutation(n):
-            g = y[i] * (w @ Xa[i]) - 1.0
+            g = y[i] * (w @ Z[i]) - 1.0
             if alpha[i] == 0.0:
                 pg = min(g, 0.0)
             elif alpha[i] == c_param:
@@ -118,12 +133,14 @@ def train(
             if pg != 0.0 and q_diag[i] > 0.0:
                 new_alpha = min(max(alpha[i] - g / q_diag[i], 0.0), c_param)
                 if new_alpha != alpha[i]:
-                    w += (new_alpha - alpha[i]) * y[i] * Xa[i]
+                    w += (new_alpha - alpha[i]) * y[i] * Z[i]
                     alpha[i] = new_alpha
         history.append(float(alpha.sum() - 0.5 * (w @ w)))
         if max_violation < tol:
             break
 
+    if Z is not Xa:
+        w = Xa.T @ (alpha * y)
     return SvmModel(
         weights=w[:d],
         bias=float(w[d]),
@@ -131,6 +148,8 @@ def train(
         dual_coef=alpha,
         objective_history=history,
         n_epochs=epochs,
+        converged=bool(max_violation < tol),
+        final_violation=float(max_violation),
     )
 
 

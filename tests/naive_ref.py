@@ -99,3 +99,39 @@ def naive_forward(layers, x, upto):
         else:
             raise ValueError(kind)
     return x
+
+
+def naive_dual_cd(X, labels, c_param=1.0, tol=1e-4, max_iter=1000, seed=0):
+    """Dual coordinate descent for the hinge-loss SVM, stepping the full
+    (d + 1)-dimensional weight vector at every coordinate: O(d) per step.
+
+    Returns (weights, bias, dual_coef, n_epochs).
+    """
+    n, d = X.shape
+    y = np.where(labels == 1, 1.0, -1.0)
+    Xa = np.hstack([X, np.ones((n, 1))])
+    q_diag = np.einsum("ij,ij->i", Xa, Xa)
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+    rng = np.random.default_rng(seed)
+    epochs = 0
+    for epoch in range(max_iter):
+        epochs = epoch + 1
+        max_violation = 0.0
+        for i in rng.permutation(n):
+            g = y[i] * (w @ Xa[i]) - 1.0
+            if alpha[i] == 0.0:
+                pg = min(g, 0.0)
+            elif alpha[i] == c_param:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            max_violation = max(max_violation, abs(pg))
+            if pg != 0.0 and q_diag[i] > 0.0:
+                new_alpha = min(max(alpha[i] - g / q_diag[i], 0.0), c_param)
+                if new_alpha != alpha[i]:
+                    w += (new_alpha - alpha[i]) * y[i] * Xa[i]
+                    alpha[i] = new_alpha
+        if max_violation < tol:
+            break
+    return w[:d], float(w[d]), alpha, epochs

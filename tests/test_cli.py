@@ -244,9 +244,11 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("model", "6 1.0 nan\n" + "0.0\n" * 6, 2),
     ("model", "6 1.0 0.0\n" + "0.0\n" * 5 + "-inf\n", 2),
     ("manifest", "sample_id,label\ns0.wav,whale\n", 2),
+    ("manifest", "sample_id,label\n", 2),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
-        "model-header-nan", "model-weight-inf", "manifest-label"])
+        "model-header-nan", "model-weight-inf", "manifest-label",
+        "manifest-empty"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, _ = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"

@@ -96,6 +96,16 @@ def test_monte_carlo_split_disjoint_and_sized():
     assert all(m.total == 30 for m in result.matrices)
 
 
+def test_monte_carlo_leaves_pool_unchanged():
+    # folds standardize their copies of the pool rows in place
+    pool = _oracle_pool(seed=10)
+    pool.features[:, 2] *= 50.0  # a column far from mean 0, sd 1
+    before = pool.features.tobytes()
+    run_monte_carlo(pool, n_iter=3, n_train=60, n_test=40, seed=2,
+                    standardize=True)
+    assert pool.features.tobytes() == before
+
+
 def test_monte_carlo_pool_too_small():
     with pytest.raises(EvalError):
         run_monte_carlo(_oracle_pool(n=50), n_iter=1, n_train=40, n_test=20)

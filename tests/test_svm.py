@@ -14,6 +14,8 @@ from whaledet.svm import (
     train,
 )
 
+from naive_ref import naive_dual_cd
+
 
 def separable_2d(n_per_class=20, seed=0):
     rng = np.random.default_rng(seed)
@@ -143,3 +145,52 @@ def test_model_file_round_trip(tmp_path):
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.bias == model.bias
     assert loaded.c_param == model.c_param
+
+
+def _gram_cases():
+    """n <= d + 1 problems, on which train solves the dual in Gram space."""
+    rng = np.random.default_rng(21)
+    wide = rng.standard_normal((20, 300))
+    wide_labels = rng.integers(0, 2, 20)
+    wide_labels[:2] = (0, 1)
+    boundary = rng.standard_normal((9, 8))  # n = d + 1
+    boundary_labels = np.array([0, 1] * 4 + [1])
+    duplicated = np.vstack([wide[:8], wide[:8]])  # singular Gram matrix
+    duplicated_labels = np.concatenate([wide_labels[:8], wide_labels[:8]])
+    dead = wide.copy()
+    dead[:, 5] = 0.0  # a zero feature column
+    return {
+        "n20-d300": (wide, wide_labels),
+        "n=d+1": (boundary, boundary_labels),
+        "duplicated-rows": (duplicated, duplicated_labels),
+        "zero-column": (dead, wide_labels),
+    }
+
+
+@pytest.mark.parametrize("case", list(_gram_cases()))
+def test_gram_space_matches_w_space_oracle(case):
+    X, labels = _gram_cases()[case]
+    model = train(LabeledSet(X, labels), seed=3)
+    weights, bias, alpha, epochs = naive_dual_cd(X, labels, seed=3)
+    assert model.n_epochs == epochs
+    assert np.abs(model.dual_coef - alpha).max() < 1e-9
+    margins = decision_values(model, X)
+    assert np.abs(margins - (X @ weights + bias)).max() < 1e-9
+    assert (predict_batch(model, X) == (X @ weights + bias > 0.0)).all()
+
+
+def test_convergence_diagnostics():
+    rng = np.random.default_rng(5)  # criterion 4's separable problem
+    labels = np.array([0, 1] * 200)
+    X = np.clip(rng.standard_normal((400, 2)), -2.5, 2.5)
+    X[labels == 1] += [6.0, 6.0]
+    model = train(LabeledSet(X, labels), c_param=1.0, seed=0)
+    assert model.converged
+    assert model.final_violation < 1e-4
+    assert model.n_epochs < 1000
+
+    fold = _gram_cases()["n20-d300"]
+    capped = train(LabeledSet(*fold), tol=1e-4, max_iter=2)
+    assert capped.n_epochs == 2
+    assert not capped.converged
+    assert capped.final_violation >= 1e-4
