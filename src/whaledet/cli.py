@@ -1,7 +1,7 @@
 """Command-line front end: synth, featurize, train, predict, evaluate, sweep.
 
-Every command is deterministic given its config and seed; each output
-directory gets a run_config.txt manifest embedding the exact configuration.
+Every command is deterministic given its config and seed; synth and sweep
+write a run_config.txt manifest embedding the exact configuration.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -60,12 +60,10 @@ class PipelineConfig:
     segment_len: int = 1024
     hop: int = 512
     fft_size: int = 2048
-    window_fn: str = "hamming"
     image_size: int = 256
     features: str = "cnn"
     network: str = ""  # empty -> built-in tiny-vgg
     c_param: float = 1.0
-    svm_tol: float = 1e-4
     svm_max_iter: int = 1000
     experiments: str = "E1,E2,E3,E4,E5,E6"
     snr_values: str = "-10,-5,0,5,10"
@@ -77,13 +75,12 @@ class PipelineConfig:
     n_units: int = 30
     bank_clip_s: float = 20.0
     bank_clips_per_type: int = 2
-    feature_scaling: bool = True
     seed: int = 0
     jobs: int = 1
 
     def stft_params(self) -> StftParams:
         return StftParams(segment_len=self.segment_len, hop=self.hop,
-                          fft_size=self.fft_size, window_fn=self.window_fn)
+                          fft_size=self.fft_size)
 
     def experiment_list(self) -> list[str]:
         return [e.strip() for e in self.experiments.split(",") if e.strip()]
@@ -105,27 +102,25 @@ class PipelineConfig:
         types = {f.name: type(getattr(cfg, f.name)) for f in fields(cls)}
         overrides = {}
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = (s.strip() for s in line.split("=", 1))
-                if key not in types:
-                    raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
-                if types[key] is bool:
-                    if value.lower() not in ("true", "false", "0", "1"):
-                        raise UsageError(
-                            f"{path}:{lineno}: '{key}' expects true/false")
-                    overrides[key] = value.lower() in ("true", "1")
-                else:
-                    try:
-                        overrides[key] = types[key](value)
-                    except ValueError:
-                        raise UsageError(
-                            f"{path}:{lineno}: '{key}' expects "
-                            f"{types[key].__name__}, got '{value}'") from None
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"{path}: not a text file: {exc}") from None
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected key=value")
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key not in types:
+                raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
+            try:
+                overrides[key] = types[key](value)
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{lineno}: '{key}' expects "
+                    f"{types[key].__name__}, got '{value}'") from None
         return replace(cfg, **overrides)
 
 
@@ -251,8 +246,7 @@ def cmd_train(args) -> int:
     X = load_features(args.feature_file)
     y = load_labels(args.labels)
     model = svm_mod.train(LabeledSet(X, y), c_param=cfg.c_param,
-                          tol=cfg.svm_tol, max_iter=cfg.svm_max_iter,
-                          seed=cfg.seed)
+                          max_iter=cfg.svm_max_iter, seed=cfg.seed)
     svm_mod.save_model(model, args.out)
     preds = svm_mod.predict_batch(model, X)
     acc = float(np.mean(preds == y))
@@ -280,7 +274,7 @@ def cmd_evaluate(args) -> int:
     result = ev.run_monte_carlo(
         LabeledSet(X, y), n_iter=cfg.n_iter, n_train=cfg.n_train,
         n_test=cfg.n_test, seed=cfg.seed, c_param=cfg.c_param,
-        max_iter=cfg.svm_max_iter, standardize=cfg.feature_scaling,
+        max_iter=cfg.svm_max_iter,
     )
     cell = ev.SweepCell.from_result("-", float("nan"), result)
     with open(args.out, "w") as fh:
@@ -294,6 +288,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    if cfg.n_train + cfg.n_test > cfg.n_pos + cfg.n_neg:
+        raise UsageError(
+            f"n_train + n_test ({cfg.n_train} + {cfg.n_test}) exceeds the "
+            f"n_pos + n_neg ({cfg.n_pos} + {cfg.n_neg}) samples of each cell")
     units = _load_units(cfg, args.units)
     bank = _load_bank(cfg, args.bank)
     result = ev.snr_sweep(
@@ -302,7 +300,7 @@ def cmd_sweep(args) -> int:
         n_pos=cfg.n_pos, n_neg=cfg.n_neg, n_iter=cfg.n_iter,
         n_train=cfg.n_train, n_test=cfg.n_test, seed=cfg.seed,
         window_s=cfg.window_s, c_param=cfg.c_param,
-        svm_max_iter=cfg.svm_max_iter, standardize=cfg.feature_scaling,
+        svm_max_iter=cfg.svm_max_iter,
     )
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "sweep")
@@ -312,10 +310,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+_COMMON_FLAGS = {
+    "config": {"help": "flat key=value config file"},
+    "seed": {"type": int, "default": None},
+    "jobs": {"type": int, "default": None},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="build an SNR-controlled dataset")
-    _add_common(p)
+    _add_common(p, "config", "seed")
     p.add_argument("--experiment", action="append",
                    help="experiment id E1..E6")
     p.add_argument("--snr", type=float, action="append",
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("featurize", help="dataset -> feature file")
-    _add_common(p)
+    _add_common(p, "config", "jobs")
     p.add_argument("--in", dest="input", required=True,
                    help="dataset directory (manifest) or a single WAV")
     p.add_argument("--features", choices=FEATURE_MODES, default=None)
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the linear SVM")
-    _add_common(p)
+    _add_common(p, "config", "seed")
     p.add_argument("--features", dest="feature_file", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--c", dest="c_param", type=float, default=None)
@@ -356,14 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="classify feature rows")
-    _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--features", dest="feature_file", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="Monte-Carlo evaluation of features")
-    _add_common(p)
+    _add_common(p, "config", "seed")
     p.add_argument("--features", dest="feature_file", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--n-iter", dest="n_iter", type=int, default=None)
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="full experiment x SNR grid")
-    _add_common(p)
+    _add_common(p, "config", "seed", "jobs")
     p.add_argument("--experiment", action="append")
     p.add_argument("--snr", type=float, action="append")
     p.add_argument("--units", help="directory of sound-unit WAV files")

@@ -26,6 +26,8 @@ Weight file format ("CNNW", little-endian):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,19 +78,15 @@ class ConvLayer:
     stride: int = 1
     pad: int = 0
 
-    kind = "conv"
-
 
 @dataclass(frozen=True)
 class ReluLayer:
-    kind = "relu"
+    """Elementwise max(x, 0)."""
 
 
 @dataclass(frozen=True)
 class MaxPoolLayer:
     """2x2 receptive field, stride 2; output area is 1/4 of the input."""
-
-    kind = "maxpool"
 
 
 @dataclass(frozen=True)
@@ -96,12 +94,10 @@ class FcLayer:
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
 
-    kind = "fc"
-
 
 @dataclass(frozen=True)
 class SoftmaxLayer:
-    kind = "softmax"
+    """Normalized exponentials of the flattened input."""
 
 
 @dataclass(frozen=True)
@@ -178,17 +174,17 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def layer_forward(x: np.ndarray, layer) -> np.ndarray:
-    if layer.kind == "conv":
+    if isinstance(layer, ConvLayer):
         return conv_forward(x, layer)
-    if layer.kind == "relu":
+    if isinstance(layer, ReluLayer):
         return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-    if layer.kind == "maxpool":
+    if isinstance(layer, MaxPoolLayer):
         return maxpool_forward(x)
-    if layer.kind == "fc":
+    if isinstance(layer, FcLayer):
         return fc_forward(x, layer)
-    if layer.kind == "softmax":
+    if isinstance(layer, SoftmaxLayer):
         return softmax(x)
-    raise NetworkError(f"unknown layer kind: {layer.kind}")
+    raise NetworkError(f"unknown layer kind: {type(layer).__name__}")
 
 
 def forward(net: Network, x: np.ndarray, upto: int | None = None) -> np.ndarray:
@@ -262,7 +258,7 @@ def validate_network(net: Network) -> None:
             if shape[1] < 1 or shape[2] < 1:
                 raise ShapeChainError(f"layer {i}: maxpool output collapses to zero")
         elif isinstance(layer, FcLayer):
-            flat = int(np.prod(shape))
+            flat = math.prod(shape)
             out_dim, in_dim = layer.weights.shape
             if in_dim != flat:
                 raise ShapeChainError(
@@ -285,10 +281,9 @@ def _read(fh, fmt: str):
 
 
 def _read_f32(fh, count: int) -> np.ndarray:
-    buf = fh.read(4 * count)
-    if len(buf) != 4 * count:
+    if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise TruncatedFileError("truncated weight payload")
-    return np.frombuffer(buf, dtype="<f4").astype(np.float64)
+    return np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
 
 
 def load_network(path) -> Network:
@@ -314,6 +309,9 @@ def load_network(path) -> Network:
             (kind,) = _read(fh, "B")
             if kind == _KIND_CONV:
                 out_c, in_c, kh, kw, stride, pad = _read(fh, "IIIIII")
+                if 0 in (out_c, in_c, kh, kw, stride):
+                    raise WeightFileError(f"{path}: conv layer with a zero "
+                                          "dimension or stride")
                 w = _read_f32(fh, out_c * in_c * kh * kw).reshape(out_c, in_c, kh, kw)
                 b = _read_f32(fh, out_c)
                 layers.append(ConvLayer(w, b, stride=stride, pad=pad))
@@ -323,6 +321,9 @@ def load_network(path) -> Network:
                 layers.append(MaxPoolLayer())
             elif kind == _KIND_FC:
                 out_d, in_d = _read(fh, "II")
+                if 0 in (out_d, in_d):
+                    raise WeightFileError(f"{path}: fc layer with a zero "
+                                          "dimension")
                 w = _read_f32(fh, out_d * in_d).reshape(out_d, in_d)
                 b = _read_f32(fh, out_d)
                 layers.append(FcLayer(w, b))

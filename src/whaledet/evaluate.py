@@ -1,17 +1,16 @@
 """Monte-Carlo train/test evaluation: confusion matrices, recognition and
 false-alarm rates, and SNR sweeps over the E1-E6 experiment grid.
 
-Each iteration draws a disjoint train/test split (honoring group tags when
-present: train and test tag sets never overlap), trains a linear SVM and
-scores the held-out samples.  Iterations use seeds derived from
-(run seed, iteration index), so parallel and sequential execution agree.
+Each iteration draws a disjoint train/test split, trains a linear SVM on
+standardized features and scores the held-out samples.  Iterations use
+seeds derived from (run seed, iteration index), so parallel and sequential
+execution agree.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -95,54 +94,22 @@ class MonteCarloResult:
         }
 
 
-def _draw_split(pool: LabeledSet, n_train: int, n_test: int, rng,
-                iteration: int = 0, max_retries: int = 100):
-    """Disjoint train/test index draw with both classes in both halves.
-
-    With group tags present, iterations cycle through all ordered
-    (train-tag, test-tag) pairs so the aggregate averages over tag pairs.
-    """
+def _draw_split(pool: LabeledSet, n_train: int, n_test: int, rng):
+    """Disjoint train/test index draw with both classes in both halves."""
     n = len(pool)
-    tags = pool.group_tags
-    if tags is not None:
-        unique = sorted(set(tags))
-        if len(unique) < 2:
-            raise EvalError(
-                "group constraint needs at least two distinct tags"
-            )
-        pairs = list(permutations(unique, 2))
-        pair = pairs[iteration % len(pairs)]
-        tag_arr = np.asarray(tags)
-        train_cand = np.flatnonzero(tag_arr == pair[0])
-        test_cand = np.flatnonzero(tag_arr == pair[1])
-        if len(train_cand) < n_train or len(test_cand) < n_test:
-            raise EvalError(
-                f"irreconcilable group constraint: tag '{pair[0]}' has "
-                f"{len(train_cand)} samples (need {n_train}), tag "
-                f"'{pair[1]}' has {len(test_cand)} (need {n_test})"
-            )
-    else:
-        if n < n_train + n_test:
-            raise EvalError(
-                f"pool of {n} samples too small for {n_train}+{n_test} split"
-            )
-        train_cand = test_cand = None
-
-    for _ in range(max_retries):
-        if train_cand is None:
-            perm = rng.permutation(n)
-            train_idx = perm[:n_train]
-            test_idx = perm[n_train : n_train + n_test]
-        else:
-            train_idx = rng.choice(train_cand, size=n_train, replace=False)
-            test_idx = rng.choice(test_cand, size=n_test, replace=False)
+    if n < n_train + n_test:
+        raise EvalError(
+            f"pool of {n} samples too small for {n_train}+{n_test} split"
+        )
+    for _ in range(100):
+        perm = rng.permutation(n)
+        train_idx = perm[:n_train]
+        test_idx = perm[n_train : n_train + n_test]
         if (len(np.unique(pool.labels[train_idx])) == 2
                 and len(np.unique(pool.labels[test_idx])) == 2):
             return train_idx, test_idx
-    raise EvalError(
-        f"could not draw a split with both classes present "
-        f"in {max_retries} retries"
-    )
+    raise EvalError("could not draw a split with both classes present "
+                    "in 100 retries")
 
 
 def run_monte_carlo(
@@ -152,35 +119,31 @@ def run_monte_carlo(
     n_test: int = 200,
     seed: int = 0,
     c_param: float = 1.0,
-    tol: float = 1e-4,
     max_iter: int = 1000,
-    standardize: bool = True,
 ) -> MonteCarloResult:
     """Repeated random resampling: train an SVM, score the held-out test set.
 
-    With standardize=True each fold's features are centered and scaled by
-    statistics computed from the training draw only.
+    Each fold's features are centered and scaled by statistics computed
+    from the training draw only.
     """
     matrices = []
     for it in range(n_iter):
         rng = np.random.default_rng([seed, it])
-        train_idx, test_idx = _draw_split(pool, n_train, n_test, rng,
-                                          iteration=it)
+        train_idx, test_idx = _draw_split(pool, n_train, n_test, rng)
         x_train = pool.features[train_idx]  # fancy indexing: fresh copies
         x_test = pool.features[test_idx]
-        if standardize:
-            # in place, with the elementwise steps np.std takes
-            mu = x_train.mean(axis=0)
-            x_train -= mu
-            sd = np.maximum(
-                np.sqrt(np.add.reduce(x_train * x_train, axis=0) / n_train),
-                1e-12)
-            x_train /= sd
-            x_test -= mu
-            x_test /= sd
+        # standardize in place, with the elementwise steps np.std takes
+        mu = x_train.mean(axis=0)
+        x_train -= mu
+        sd = np.maximum(
+            np.sqrt(np.add.reduce(x_train * x_train, axis=0) / n_train),
+            1e-12)
+        x_train /= sd
+        x_test -= mu
+        x_test /= sd
         model = svm.train(
             LabeledSet(x_train, pool.labels[train_idx]),
-            c_param=c_param, tol=tol, max_iter=max_iter, seed=int(it),
+            c_param=c_param, max_iter=max_iter, seed=int(it),
         )
         preds = svm.predict_batch(model, x_test)
         matrices.append(confusion(preds, pool.labels[test_idx]))
@@ -242,7 +205,6 @@ def snr_sweep(
     window_s: float = 2.0,
     c_param: float = 1.0,
     svm_max_iter: int = 1000,
-    standardize: bool = True,
 ) -> SweepResult:
     """Full (experiment x SNR) evaluation grid.
 
@@ -264,7 +226,6 @@ def snr_sweep(
             result = run_monte_carlo(
                 pool, n_iter=n_iter, n_train=n_train, n_test=n_test,
                 seed=cell_seed, c_param=c_param, max_iter=svm_max_iter,
-                standardize=standardize,
             )
             cells.append(SweepCell.from_result(exp, float(snr_db), result))
     return SweepResult(cells=cells)

@@ -11,6 +11,7 @@ float32 values row-major.  Labels travel in a sibling CSV (sample_index,label).
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -68,9 +69,10 @@ def load_features(path) -> np.ndarray:
         if len(header) != 8:
             raise FeatureError(f"{path}: truncated feature file header")
         n, dim = struct.unpack("<II", header)
+        if 4 * n * dim > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise FeatureError(
+                f"{path}: truncated feature payload ({n}x{dim} claimed)")
         buf = fh.read(4 * n * dim)
-        if len(buf) != 4 * n * dim:
-            raise FeatureError(f"{path}: truncated feature payload")
     return np.frombuffer(buf, dtype="<f4").reshape(n, dim).astype(np.float64)
 
 
@@ -84,11 +86,14 @@ def save_labels(path, labels) -> None:
 
 def load_labels(path) -> np.ndarray:
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FeatureError(f"{path}: unreadable label file: {exc}") from None
     if not rows:
         raise FeatureError(f"{path}: empty label file")
     try:
         return np.asarray([int(r["label"]) for r in rows], dtype=np.int64)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise FeatureError(f"{path}: every row needs an integer label") from None

@@ -31,7 +31,6 @@ class StftParams:
     segment_len: int = 1024
     hop: int = 512
     fft_size: int = 2048
-    window_fn: str = "hamming"
 
     def __post_init__(self):
         if not (self.hop <= self.segment_len <= self.fft_size):
@@ -43,13 +42,7 @@ class StftParams:
             raise SpectrogramError("fft_size must be >= 2")
 
     def taper(self) -> np.ndarray:
-        if self.window_fn == "hamming":
-            return np.hamming(self.segment_len)
-        if self.window_fn == "hann":
-            return np.hanning(self.segment_len)
-        if self.window_fn == "rect":
-            return np.ones(self.segment_len)
-        raise SpectrogramError(f"unknown tapering window: {self.window_fn}")
+        return np.hamming(self.segment_len)
 
 
 @dataclass(frozen=True)

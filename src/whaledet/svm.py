@@ -32,11 +32,10 @@ class NonFiniteFeatureError(SvmError):
 
 @dataclass
 class LabeledSet:
-    """Feature matrix with {0,1} labels and optional per-sample group tags."""
+    """Feature matrix with {0,1} labels."""
 
     features: np.ndarray  # (n_samples, dim)
     labels: np.ndarray  # (n_samples,) in {0, 1}
-    group_tags: list[str] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -47,8 +46,6 @@ class LabeledSet:
             raise SvmError(
                 f"{len(self.features)} feature rows vs {len(self.labels)} labels"
             )
-        if self.group_tags is not None and len(self.group_tags) != len(self.labels):
-            raise SvmError("group_tags length does not match labels")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -180,17 +177,21 @@ def save_model(model: SvmModel, path) -> None:
 
 def load_model(path) -> SvmModel:
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise SvmError(f"{path}: malformed model header")
-        try:
-            dim = int(header[0])
-            c_param = float(header[1])
-            bias = float(header[2])
-            weights = np.array([float(line) for line in fh], dtype=np.float64)
-        except ValueError as exc:
-            raise SvmError(f"{path}: non-numeric model value: {exc}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise SvmError(f"{path}: not an ASCII model file: {exc}") from None
+    if len(header) != 3:
+        raise SvmError(f"{path}: malformed model header")
+    try:
+        dim = int(header[0])
+        c_param = float(header[1])
+        bias = float(header[2])
+        weights = np.array([float(line) for line in lines], dtype=np.float64)
+    except ValueError as exc:
+        raise SvmError(f"{path}: non-numeric model value: {exc}") from exc
     if len(weights) != dim:
         raise SvmError(f"{path}: expected {dim} weights, found {len(weights)}")
     if not np.isfinite([c_param, bias, *weights]).all():

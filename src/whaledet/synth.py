@@ -424,16 +424,20 @@ def read_dataset(out_dir) -> tuple[list[AudioClip], np.ndarray]:
     manifest = out_dir / "manifest.csv"
     if not manifest.is_file():
         raise SynthError(f"dataset manifest not found: {manifest}")
+    try:
+        with open(manifest, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SynthError(f"{manifest}: unreadable manifest: {exc}") from None
     clips: list[AudioClip] = []
-    labels: list[int] = []
-    with open(manifest, newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                clips.append(load_wav(out_dir / row["sample_id"]))
-                labels.append(int(row["label"]))
-            except AudioError as exc:
-                raise SynthError(f"dataset sample unreadable: {exc}") from exc
-            except (KeyError, TypeError, ValueError):
-                raise SynthError(f"{manifest}: every row needs a sample_id "
-                                 "and an integer label") from None
+    labels: list[np.int64] = []
+    for row in rows:
+        try:
+            clips.append(load_wav(out_dir / row["sample_id"]))
+            labels.append(np.int64(int(row["label"])))
+        except AudioError as exc:
+            raise SynthError(f"dataset sample unreadable: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise SynthError(f"{manifest}: every row needs a sample_id "
+                             "and an integer label") from None
     return clips, np.asarray(labels, dtype=np.int64)

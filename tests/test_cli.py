@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,30 @@ def test_usage_errors_exit_1(tmp_path):
                  "--snr", "0", "--out", str(tmp_path / "y")]) == 1
 
 
+def test_flags_only_on_commands_that_read_them(tmp_path, capsys):
+    # predict reads no config, seed or jobs; train featurizes nothing
+    feat, labels = _oracle_feature_files(tmp_path)
+    model_path = tmp_path / "model.txt"
+    save_model(SvmModel(np.ones(6), 0.0, 1.0), model_path)
+    out = tmp_path / "out"
+    assert main(["predict", "--model", str(model_path), "--features",
+                 str(feat), "--seed", "1", "--out", str(out)]) == 1
+    assert main(["train", "--features", str(feat), "--labels", str(labels),
+                 "--jobs", "2", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--jobs" in err
+
+
+def test_sweep_split_larger_than_cell_is_usage_error(tmp_path, capsys):
+    # the defaults draw 300 + 200 samples from cells of 150 + 150
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("n_train", "n_test", "n_pos", "n_neg"))
+    assert not out.exists()
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\nseed=9\nfeatures=spectrogram\nsnr_values=0,5\n")
@@ -245,17 +270,23 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("model", "6 1.0 0.0\n" + "0.0\n" * 5 + "-inf\n", 2),
     ("manifest", "sample_id,label\ns0.wav,whale\n", 2),
     ("manifest", "sample_id,label\n", 2),
+    ("config", b"seed=1\n\xff\n", 1),
+    ("labels", b"sample_index,label\n0,\xff\n", 2),
+    ("model", b"6 1.0 0.0\n" + b"0.0\n" * 5 + b"\xff\n", 2),
+    ("manifest", b"sample_id,label\ns0.wav,1\xff\n", 2),
+    ("features", struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(8), 2),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
-        "manifest-empty"])
+        "manifest-empty", "config-not-utf8", "label-not-utf8",
+        "model-not-ascii", "manifest-not-utf8", "features-header-overflow"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
-    feat, _ = _oracle_feature_files(tmp_path)
+    feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
     ds.mkdir()
     wavfile.write(str(ds / "s0.wav"), 8000, np.ones(16000, dtype=np.float32))
     bad = ds / "manifest.csv" if kind == "manifest" else tmp_path / "bad.txt"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = str(tmp_path / "out")
     argv = {
         "config": ["synth", "--config", str(bad), "--experiment", "E1",
@@ -266,6 +297,8 @@ def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
                   "--out", out],
         "manifest": ["featurize", "--config", _cfg(tmp_path), "--in",
                      str(ds), "--features", "spectrogram", "--out", out],
+        "features": ["train", "--features", str(bad), "--labels",
+                     str(labels), "--out", out],
     }[kind]
     try:
         rc = main(argv)

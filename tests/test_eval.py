@@ -101,32 +101,13 @@ def test_monte_carlo_leaves_pool_unchanged():
     pool = _oracle_pool(seed=10)
     pool.features[:, 2] *= 50.0  # a column far from mean 0, sd 1
     before = pool.features.tobytes()
-    run_monte_carlo(pool, n_iter=3, n_train=60, n_test=40, seed=2,
-                    standardize=True)
+    run_monte_carlo(pool, n_iter=3, n_train=60, n_test=40, seed=2)
     assert pool.features.tobytes() == before
 
 
 def test_monte_carlo_pool_too_small():
     with pytest.raises(EvalError):
         run_monte_carlo(_oracle_pool(n=50), n_iter=1, n_train=40, n_test=20)
-
-
-def test_monte_carlo_group_tags_respected():
-    rng = np.random.default_rng(6)
-    n = 200
-    labels = np.array([0, 1] * (n // 2))
-    X = np.repeat(labels[:, None].astype(float), 3, axis=1)
-    X += 0.01 * rng.standard_normal(X.shape)
-    tags = ["2013"] * (n // 2) + ["2014"] * (n // 2)
-    pool = LabeledSet(X, labels, group_tags=tags)
-    result = run_monte_carlo(pool, n_iter=4, n_train=40, n_test=30, seed=9)
-    assert result.mean_correct_recognition == 1.0
-
-    # irreconcilable: one tag cannot supply the training draw
-    bad_tags = ["2013"] * 10 + ["2014"] * (n - 10)
-    bad_pool = LabeledSet(X, labels, group_tags=bad_tags)
-    with pytest.raises(EvalError, match="group"):
-        run_monte_carlo(bad_pool, n_iter=4, n_train=40, n_test=30, seed=9)
 
 
 SR = 8000.0
