@@ -8,9 +8,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .features import (
     save_features,
     save_labels,
 )
+from .parallel import map_chunks, usable_cpus
 from .spectrogram import SpectrogramError, StftParams
 from .svm import LabeledSet, SvmError
 from .synth import (
@@ -76,7 +77,7 @@ class PipelineConfig:
     bank_clip_s: float = 20.0
     bank_clips_per_type: int = 2
     seed: int = 0
-    jobs: int = 1
+    jobs: int = field(default_factory=usable_cpus)
 
     def stft_params(self) -> StftParams:
         return StftParams(segment_len=self.segment_len, hop=self.hop,
@@ -124,6 +125,10 @@ class PipelineConfig:
         return replace(cfg, **overrides)
 
 
+# settings that size or count something; 0 or less has no meaning
+_POSITIVE_SETTINGS = ("jobs", "hop", "window_s", "image_size", "n_iter")
+
+
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     for key in ("seed", "features", "network", "jobs", "n_iter", "n_train",
@@ -137,6 +142,10 @@ def _load_config(args) -> PipelineConfig:
         cfg = replace(cfg, experiments=",".join(args.experiment))
     if cfg.features not in FEATURE_MODES:
         raise UsageError(f"--features must be one of {FEATURE_MODES}")
+    for key in _POSITIVE_SETTINGS:
+        value = getattr(cfg, key)
+        if not 0 < value < math.inf:
+            raise UsageError(f"{key} must be finite and > 0, got {value}")
     return cfg
 
 
@@ -159,22 +168,17 @@ def _get_network(cfg: PipelineConfig):
 def _make_featurizer(cfg: PipelineConfig):
     network = _get_network(cfg)
     params = cfg.stft_params()
+    dim = cfg.image_size ** 2 if network is None else network.code_dim
 
     def featurize(clips):
-        if cfg.jobs > 1 and len(clips) > 1:
-            chunks = np.array_split(np.arange(len(clips)), cfg.jobs)
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                parts = list(pool.map(
-                    lambda idx: featurize_clips(
-                        [clips[i] for i in idx], mode=cfg.features,
-                        network=network, params=params,
-                        width=cfg.image_size, height=cfg.image_size),
-                    [c for c in chunks if len(c)],
-                ))
-            return np.vstack(parts)
-        return featurize_clips(clips, mode=cfg.features, network=network,
-                               params=params, width=cfg.image_size,
-                               height=cfg.image_size)
+        X = np.empty((len(clips), dim))  # each thread fills its own rows
+        map_chunks(
+            lambda r: featurize_clips(
+                clips[r.start:r.stop], mode=cfg.features, network=network,
+                params=params, width=cfg.image_size, height=cfg.image_size,
+                out=X[r.start:r.stop]),
+            len(clips), cfg.jobs)
+        return X
 
     return featurize
 
@@ -274,7 +278,7 @@ def cmd_evaluate(args) -> int:
     result = ev.run_monte_carlo(
         LabeledSet(X, y), n_iter=cfg.n_iter, n_train=cfg.n_train,
         n_test=cfg.n_test, seed=cfg.seed, c_param=cfg.c_param,
-        max_iter=cfg.svm_max_iter,
+        max_iter=cfg.svm_max_iter, jobs=cfg.jobs,
     )
     cell = ev.SweepCell.from_result("-", float("nan"), result)
     with open(args.out, "w") as fh:
@@ -300,7 +304,7 @@ def cmd_sweep(args) -> int:
         n_pos=cfg.n_pos, n_neg=cfg.n_neg, n_iter=cfg.n_iter,
         n_train=cfg.n_train, n_test=cfg.n_test, seed=cfg.seed,
         window_s=cfg.window_s, c_param=cfg.c_param,
-        svm_max_iter=cfg.svm_max_iter,
+        svm_max_iter=cfg.svm_max_iter, jobs=cfg.jobs,
     )
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "sweep")
@@ -313,7 +317,8 @@ def cmd_sweep(args) -> int:
 _COMMON_FLAGS = {
     "config": {"help": "flat key=value config file"},
     "seed": {"type": int, "default": None},
-    "jobs": {"type": int, "default": None},
+    "jobs": {"type": int, "default": None,
+             "help": "worker threads (default: the usable CPUs)"},
 }
 
 
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="Monte-Carlo evaluation of features")
-    _add_common(p, "config", "seed")
+    _add_common(p, "config", "seed", "jobs")
     p.add_argument("--features", dest="feature_file", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--n-iter", dest="n_iter", type=int, default=None)

@@ -283,7 +283,10 @@ def _read(fh, fmt: str):
 def _read_f32(fh, count: int) -> np.ndarray:
     if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise TruncatedFileError("truncated weight payload")
-    return np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
+    values = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise WeightFileError("NaN or infinite value in weight payload")
+    return values
 
 
 def load_network(path) -> Network:

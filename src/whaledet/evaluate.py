@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import svm
+from .parallel import map_chunks
 from .svm import LabeledSet
 from .synth import ExperimentConfig, NoiseBank, build_experiment
 
@@ -94,22 +95,34 @@ class MonteCarloResult:
         }
 
 
-def _draw_split(pool: LabeledSet, n_train: int, n_test: int, rng):
+def _draw_split(labels: np.ndarray, n_train: int, n_test: int, rng):
     """Disjoint train/test index draw with both classes in both halves."""
-    n = len(pool)
-    if n < n_train + n_test:
-        raise EvalError(
-            f"pool of {n} samples too small for {n_train}+{n_test} split"
-        )
     for _ in range(100):
-        perm = rng.permutation(n)
+        perm = rng.permutation(len(labels))
         train_idx = perm[:n_train]
         test_idx = perm[n_train : n_train + n_test]
-        if (len(np.unique(pool.labels[train_idx])) == 2
-                and len(np.unique(pool.labels[test_idx])) == 2):
+        if (len(np.unique(labels[train_idx])) == 2
+                and len(np.unique(labels[test_idx])) == 2):
             return train_idx, test_idx
     raise EvalError("could not draw a split with both classes present "
                     "in 100 retries")
+
+
+def column_sum_of_squares(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x * x, axis=0), bytewise, without the n x d square.
+
+    numpy reduces the rows of a C-contiguous matrix into the output one row
+    at a time, so accumulating row by row repeats its additions exactly.  A
+    single column is reduced pairwise instead; that square is small.
+    """
+    if x.shape[1] == 1:
+        return np.add.reduce(x * x, axis=0)
+    acc = x[0] * x[0]
+    square = np.empty_like(acc)
+    for row in x[1:]:
+        np.multiply(row, row, out=square)
+        acc += square
+    return acc
 
 
 def run_monte_carlo(
@@ -120,34 +133,53 @@ def run_monte_carlo(
     seed: int = 0,
     c_param: float = 1.0,
     max_iter: int = 1000,
+    jobs: int = 1,
 ) -> MonteCarloResult:
     """Repeated random resampling: train an SVM, score the held-out test set.
 
     Each fold's features are centered and scaled by statistics computed
-    from the training draw only.
+    from the training draw only.  The folds run on up to `jobs` threads,
+    each with one pair of fold buffers that every fold of its chunk
+    refills; the matrices come back in fold order.
     """
-    matrices = []
-    for it in range(n_iter):
-        rng = np.random.default_rng([seed, it])
-        train_idx, test_idx = _draw_split(pool, n_train, n_test, rng)
-        x_train = pool.features[train_idx]  # fancy indexing: fresh copies
-        x_test = pool.features[test_idx]
-        # standardize in place, with the elementwise steps np.std takes
-        mu = x_train.mean(axis=0)
-        x_train -= mu
-        sd = np.maximum(
-            np.sqrt(np.add.reduce(x_train * x_train, axis=0) / n_train),
-            1e-12)
-        x_train /= sd
-        x_test -= mu
-        x_test /= sd
-        model = svm.train(
-            LabeledSet(x_train, pool.labels[train_idx]),
-            c_param=c_param, max_iter=max_iter, seed=int(it),
+    features, labels = pool.features, pool.labels
+    if len(pool) < n_train + n_test:
+        raise EvalError(
+            f"pool of {len(pool)} samples too small for {n_train}+{n_test} split"
         )
-        preds = svm.predict_batch(model, x_test)
-        matrices.append(confusion(preds, pool.labels[test_idx]))
-    return MonteCarloResult(matrices=matrices)
+    if min(n_train, n_test) < 2:
+        raise EvalError(f"a {n_train}+{n_test} split cannot hold both classes "
+                        "in both halves")
+    dim = features.shape[1]
+
+    def run_folds(iterations: range) -> list[ConfusionMatrix]:
+        x_train = np.empty((n_train, dim))
+        x_test = np.empty((n_test, dim))
+        matrices = []
+        for it in iterations:
+            rng = np.random.default_rng([seed, it])
+            train_idx, test_idx = _draw_split(labels, n_train, n_test, rng)
+            # mode="clip" writes straight into out (the indices are valid)
+            np.take(features, train_idx, axis=0, out=x_train, mode="clip")
+            np.take(features, test_idx, axis=0, out=x_test, mode="clip")
+            # standardize in place, with the elementwise steps np.std takes
+            mu = x_train.mean(axis=0)
+            x_train -= mu
+            sd = np.maximum(np.sqrt(column_sum_of_squares(x_train) / n_train),
+                            1e-12)
+            x_train /= sd
+            x_test -= mu
+            x_test /= sd
+            model = svm.train(
+                LabeledSet(x_train, labels[train_idx]),
+                c_param=c_param, max_iter=max_iter, seed=int(it),
+            )
+            preds = svm.predict_batch(model, x_test)
+            matrices.append(confusion(preds, labels[test_idx]))
+        return matrices
+
+    chunks = map_chunks(run_folds, n_iter, jobs)
+    return MonteCarloResult(matrices=[m for chunk in chunks for m in chunk])
 
 
 @dataclass(frozen=True)
@@ -205,11 +237,13 @@ def snr_sweep(
     window_s: float = 2.0,
     c_param: float = 1.0,
     svm_max_iter: int = 1000,
+    jobs: int = 1,
 ) -> SweepResult:
     """Full (experiment x SNR) evaluation grid.
 
     featurize_fn maps a list of AudioClips to a feature matrix, so CNN codes
-    and raw spectrogram images plug into the same harness.
+    and raw spectrogram images plug into the same harness.  Each cell's
+    Monte-Carlo folds run on up to `jobs` threads.
     """
     cells = []
     for ei, exp in enumerate(experiments):
@@ -226,6 +260,7 @@ def snr_sweep(
             result = run_monte_carlo(
                 pool, n_iter=n_iter, n_train=n_train, n_test=n_test,
                 seed=cell_seed, c_param=c_param, max_iter=svm_max_iter,
+                jobs=jobs,
             )
             cells.append(SweepCell.from_result(exp, float(snr_db), result))
     return SweepResult(cells=cells)

@@ -35,22 +35,29 @@ def featurize_clips(
     params: StftParams | None = None,
     width: int = 256,
     height: int = 256,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Feature matrix (n_clips x dim) for a list of analysis windows."""
+    """Feature matrix (n_clips x dim) for a list of analysis windows.
+
+    The rows are written into `out` when it is given, else into a new
+    matrix sized by the first row.
+    """
     if mode not in FEATURE_MODES:
         raise FeatureError(f"unknown feature mode: {mode}")
     if mode == "cnn" and network is None:
         raise FeatureError("cnn feature mode requires a network")
     if not clips:
         raise FeatureError("no clips to featurize")
-    rows = []
-    for clip in clips:
+    for i, clip in enumerate(clips):
         image = to_image(stft_spectrogram(clip, params), width=width, height=height)
         if mode == "cnn":
-            rows.append(extract_code(network, image))
+            row = extract_code(network, image)
         else:
-            rows.append(image.pixels.astype(np.float64).ravel() / 255.0)
-    return np.vstack(rows)
+            row = image.pixels.astype(np.float64).ravel() / 255.0
+        if out is None:
+            out = np.empty((len(clips), row.size))
+        out[i] = row
+    return out
 
 
 def save_features(path, X: np.ndarray) -> None:

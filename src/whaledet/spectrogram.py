@@ -33,9 +33,9 @@ class StftParams:
     fft_size: int = 2048
 
     def __post_init__(self):
-        if not (self.hop <= self.segment_len <= self.fft_size):
+        if not (1 <= self.hop <= self.segment_len <= self.fft_size):
             raise SpectrogramError(
-                f"need hop <= segment_len <= fft_size, got "
+                f"need 1 <= hop <= segment_len <= fft_size, got "
                 f"{self.hop}/{self.segment_len}/{self.fft_size}"
             )
         if self.fft_size < 2:
@@ -51,7 +51,6 @@ class Spectrogram:
 
     values_db: np.ndarray
     freq_resolution_hz: float
-    time_resolution_s: float
     params: StftParams
 
     @property
@@ -103,7 +102,6 @@ def stft_spectrogram(clip: AudioClip, params: StftParams | None = None) -> Spect
     return Spectrogram(
         values_db=values_db,
         freq_resolution_hz=clip.sample_rate_hz / params.fft_size,
-        time_resolution_s=params.hop / clip.sample_rate_hz,
         params=params,
     )
 
@@ -163,11 +161,3 @@ def to_image(spec: Spectrogram, width: int = 256, height: int = 256) -> GrayImag
     resized = _blend(_gray_levels(flipped[y0], vmin, vmax),
                      _gray_levels(flipped[y1], vmin, vmax), wy, width)
     return GrayImage(np.clip(np.round(resized), 0, 255).astype(np.uint8))
-
-
-def save_pgm(image: GrayImage, path) -> None:
-    """Export as binary PGM (P5) for quick inspection."""
-    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(image.pixels.tobytes())

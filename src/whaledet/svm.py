@@ -81,11 +81,11 @@ def train(
     training stops when the largest projected-gradient violation over an
     epoch drops below tol, or after max_iter epochs.
 
-    The dual sees the augmented rows Xa only through Q = Xa @ Xa.T.  When
-    n <= d + 1 the loop runs on an n-column factor Z with Z @ Z.T == Q (from
-    the eigendecomposition of the Gram matrix), so a coordinate step costs
-    O(n) instead of O(d); the real weights Xa.T @ (alpha * y) are formed
-    once at the end.
+    The dual sees the augmented rows Xa = [X, 1] only through
+    Q = Xa @ Xa.T = X @ X.T + 1.  When n <= d + 1 the loop runs on an
+    n-column factor Z with Z @ Z.T == Q (from the eigendecomposition of
+    the Gram matrix), so a coordinate step costs O(n) instead of O(d); the
+    real weights Xa.T @ (alpha * y) are formed once at the end.
     """
     X = data.features
     if not np.isfinite(X).all():
@@ -101,13 +101,16 @@ def train(
 
     n, d = X.shape
     y = np.where(labels == 1, 1.0, -1.0)
-    Xa = np.hstack([X, np.ones((n, 1))])  # augmented constant feature = bias
-    q_diag = np.einsum("ij,ij->i", Xa, Xa)
-    if n <= d + 1:
-        lam, vec = np.linalg.eigh(Xa @ Xa.T)
+    gram = n <= d + 1
+    if gram:  # Xa's products, formed from X without copying it
+        q_diag = np.einsum("ij,ij->i", X, X) + 1.0
+        K = X @ X.T
+        K += 1.0
+        lam, vec = np.linalg.eigh(K)
         Z = vec * np.sqrt(np.maximum(lam, 0.0))
     else:
-        Z = Xa
+        Z = np.hstack([X, np.ones((n, 1))])  # augmented constant feature = bias
+        q_diag = np.einsum("ij,ij->i", Z, Z)
     alpha = np.zeros(n)
     w = np.zeros(Z.shape[1])  # weights in the coordinates of Z's columns
     rng = np.random.default_rng(seed)
@@ -136,8 +139,9 @@ def train(
         if max_violation < tol:
             break
 
-    if Z is not Xa:
-        w = Xa.T @ (alpha * y)
+    if gram:
+        v = alpha * y
+        w = np.append(X.T @ v, v.sum())
     return SvmModel(
         weights=w[:d],
         bias=float(w[d]),

@@ -8,7 +8,7 @@ import pytest
 from scipy.io import wavfile
 
 from whaledet.cli import PipelineConfig, main
-from whaledet.cnn import save_network, tiny_vgg
+from whaledet.cnn import FcLayer, save_network, tiny_vgg
 from whaledet.features import load_features, load_labels, save_features, save_labels
 from whaledet.svm import SvmModel, save_model
 
@@ -216,17 +216,43 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_jobs_flag_does_not_change_features(tmp_path, small_dataset):
-    # cnn runs a conv GEMM per window inside each worker thread
+    # cnn runs a conv GEMM per window inside each worker thread; no --jobs
+    # means one thread per usable CPU
     cfg, ds = small_dataset
     for features in ("spectrogram", "cnn"):
         outputs = []
-        for jobs in ("1", "3"):
-            feat = tmp_path / f"{features}_j{jobs}.feat"
+        for jobs in ([], ["--jobs", "1"], ["--jobs", "3"]):
+            feat = tmp_path / f"{features}_j{len(outputs)}.feat"
             assert main(["featurize", "--config", cfg, "--in", str(ds),
-                         "--features", features, "--jobs", jobs,
+                         "--features", features, *jobs,
                          "--out", str(feat)]) == 0
             outputs.append(feat.read_bytes())
-        assert outputs[0] == outputs[1], features
+        assert outputs[0] == outputs[1] == outputs[2], features
+
+
+@pytest.mark.parametrize("dim", [6, 80], ids=["primal", "gram"])
+def test_evaluate_jobs_do_not_change_output(tmp_path, dim):
+    # 5 folds: uneven chunks at 2 and 3 jobs, idle jobs at 8; 80-d folds of
+    # 24 rows take the SVM's Gram path, 6-d ones the primal loop
+    rng = np.random.default_rng(dim)
+    labels = np.array([1, 0] * 20)
+    X = labels[:, None] * (2.0 / np.sqrt(dim)) \
+        + rng.standard_normal((len(labels), dim))
+    feat = tmp_path / "noisy.feat"
+    save_features(feat, X)
+    save_labels(tmp_path / "noisy.labels.csv", labels)
+    outputs = []
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"],
+                 ["--jobs", "8"]):
+        out = tmp_path / f"eval{len(outputs)}.csv"
+        assert main(["evaluate", "--features", str(feat), "--labels",
+                     str(tmp_path / "noisy.labels.csv"), "--n-iter", "5",
+                     "--n-train", "24", "--n-test", "16", "--seed", "4",
+                     *jobs, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert all(o == outputs[0] for o in outputs)
+    row = outputs[0].decode().splitlines()[1].split(",")
+    assert float(row[4]) > 0.0  # the folds' recognition rates differ
 
 
 def _golden_wav(path):
@@ -275,17 +301,26 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("model", b"6 1.0 0.0\n" + b"0.0\n" * 5 + b"\xff\n", 2),
     ("manifest", b"sample_id,label\ns0.wav,1\xff\n", 2),
     ("features", struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(8), 2),
+    ("featurize-config", "jobs=0\n", 1),
+    ("featurize-config", "hop=0\n", 1),
+    ("featurize-config", "window_s=0\n", 1),
+    ("featurize-config", "image_size=0\n", 1),
+    ("evaluate-config", "n_iter=0\nn_train=20\nn_test=10\n", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
         "manifest-empty", "config-not-utf8", "label-not-utf8",
-        "model-not-ascii", "manifest-not-utf8", "features-header-overflow"])
+        "model-not-ascii", "manifest-not-utf8", "features-header-overflow",
+        "jobs-zero", "hop-zero", "window-zero", "image-size-zero",
+        "n-iter-zero"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
     ds.mkdir()
     wavfile.write(str(ds / "s0.wav"), 8000, np.ones(16000, dtype=np.float32))
     bad = ds / "manifest.csv" if kind == "manifest" else tmp_path / "bad.txt"
+    if kind == "featurize-config":  # the fast geometry, then the bad value
+        text = "\n".join(FAST) + "\n" + text
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = str(tmp_path / "out")
     argv = {
@@ -299,6 +334,11 @@ def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
                      str(ds), "--features", "spectrogram", "--out", out],
         "features": ["train", "--features", str(bad), "--labels",
                      str(labels), "--out", out],
+        "featurize-config": ["featurize", "--config", str(bad), "--in",
+                             str(ds / "s0.wav"), "--features", "spectrogram",
+                             "--out", out],
+        "evaluate-config": ["evaluate", "--config", str(bad), "--features",
+                            str(feat), "--labels", str(labels), "--out", out],
     }[kind]
     try:
         rc = main(argv)
@@ -318,6 +358,22 @@ def test_featurize_rejects_nan_wav(tmp_path, capsys):
                "--features", "spectrogram", "--out", str(feat)])
     assert rc == 2
     assert "nan.wav" in capsys.readouterr().err
+    assert not feat.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_featurize_rejects_non_finite_network(tmp_path, capsys, value):
+    net = tiny_vgg(seed=0, in_size=32)
+    fc = next(layer for layer in net.layers if isinstance(layer, FcLayer))
+    fc.weights[0, 0] = value
+    save_network(net, tmp_path / "bad.cnnw")
+    wav = tmp_path / "clip.wav"
+    wavfile.write(str(wav), 8000, np.ones(16000, dtype=np.float32))
+    feat = tmp_path / "clip.feat"
+    rc = main(["featurize", "--config", _cfg(tmp_path), "--in", str(wav),
+               "--network", str(tmp_path / "bad.cnnw"), "--out", str(feat)])
+    assert rc == 2
+    assert "NaN or infinite" in capsys.readouterr().err
     assert not feat.exists()
 
 

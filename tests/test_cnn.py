@@ -14,6 +14,7 @@ from whaledet.cnn import (
     SoftmaxLayer,
     TruncatedFileError,
     VersionMismatchError,
+    WeightFileError,
     conv_forward,
     extract_code,
     fc_forward,
@@ -252,6 +253,19 @@ def test_weight_file_errors_are_distinct(tmp_path):
                      + struct.pack("<II", 4, 64))  # fc missing its payload
     with pytest.raises(TruncatedFileError):
         load_network(path)
+
+    fc = header + struct.pack("<I", 1) + struct.pack("<B", 4) \
+        + struct.pack("<II", 2, 64)
+    weights, bias = np.zeros(128, "<f4"), np.zeros(2, "<f4")
+    path.write_bytes(fc + weights.tobytes() + bias.tobytes())
+    load_network(path)  # the finite file loads
+    for bad_weights, bad_bias in ((np.nan, 0.0), (0.0, np.inf),
+                                  (0.0, -np.inf)):
+        w, b = weights.copy(), bias.copy()
+        w[5], b[1] = w[5] + bad_weights, b[1] + bad_bias
+        path.write_bytes(fc + w.tobytes() + b.tobytes())
+        with pytest.raises(WeightFileError, match="NaN or infinite"):
+            load_network(path)
 
 
 def test_shape_chain_error_names_layers():

@@ -4,6 +4,7 @@ import pytest
 from whaledet.evaluate import (
     ConfusionMatrix,
     EvalError,
+    column_sum_of_squares,
     confusion,
     run_monte_carlo,
     snr_sweep,
@@ -103,6 +104,15 @@ def test_monte_carlo_leaves_pool_unchanged():
     before = pool.features.tobytes()
     run_monte_carlo(pool, n_iter=3, n_train=60, n_test=40, seed=2)
     assert pool.features.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("d", [1, 999])
+def test_column_sum_of_squares_matches_numpy_bytewise(n, d):
+    rng = np.random.default_rng(n * d)
+    x = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, d)
+    got = column_sum_of_squares(x)
+    assert got.tobytes() == np.add.reduce(x * x, axis=0).tobytes()
 
 
 def test_monte_carlo_pool_too_small():

@@ -4,13 +4,11 @@ import pytest
 from naive_ref import naive_dft_frame, naive_dft_magnitudes
 from whaledet.audio import AudioClip
 from whaledet.spectrogram import (
-    GrayImage,
     Spectrogram,
     SpectrogramError,
     StftParams,
     gray_scale,
     resize_bilinear,
-    save_pgm,
     stft_magnitude,
     stft_spectrogram,
     to_image,
@@ -22,7 +20,7 @@ SR = 44100.0
 def _spec_from_grid(grid, params=None):
     params = params or StftParams()
     return Spectrogram(np.asarray(grid, dtype=float), SR / params.fft_size,
-                       params.hop / SR, params)
+                       params)
 
 
 def test_default_params_give_171_frames_1025_bins():
@@ -44,6 +42,8 @@ def test_params_validation():
         StftParams(segment_len=100, hop=200, fft_size=256)
     with pytest.raises(SpectrogramError):
         StftParams(segment_len=4096, hop=512, fft_size=2048)
+    with pytest.raises(SpectrogramError):
+        StftParams(segment_len=1024, hop=0, fft_size=2048)
 
 
 def test_clip_shorter_than_segment_errors():
@@ -141,15 +141,6 @@ def test_resize_bilinear_identity_and_average():
     assert np.array_equal(resize_bilinear(grid, 2, 2), grid)
     up = resize_bilinear(grid, 3, 3)
     assert up[1, 1] == pytest.approx(15.0)
-
-
-def test_pgm_export(tmp_path):
-    img = GrayImage(np.arange(16, dtype=np.uint8).reshape(4, 4))
-    path = tmp_path / "img.pgm"
-    save_pgm(img, path)
-    payload = path.read_bytes()
-    assert payload.startswith(b"P5\n4 4\n255\n")
-    assert payload.endswith(bytes(range(16)))
 
 
 def test_to_image_matches_gray_scale_then_resize():
