@@ -27,10 +27,8 @@ def chunk_ranges(n_items: int, jobs: int) -> list[range]:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     k = max(1, min(jobs, n_items))
-    size, extra = divmod(n_items, k)
-    bounds = [0]
-    for i in range(k):
-        bounds.append(bounds[-1] + size + (i < extra))
+    size, extra = divmod(n_items, k)  # the first `extra` ranges get one more
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
