@@ -33,7 +33,7 @@ from .features import (
     save_features,
     save_labels,
 )
-from .parallel import map_chunks, usable_cpus
+from .parallel import default_jobs
 from .spectrogram import SpectrogramError, StftParams
 from .svm import LabeledSet, SvmError
 from .synth import (
@@ -77,7 +77,7 @@ class PipelineConfig:
     bank_clip_s: float = 20.0
     bank_clips_per_type: int = 2
     seed: int = 0
-    jobs: int = field(default_factory=usable_cpus)
+    jobs: int = field(default_factory=default_jobs)
 
     def stft_params(self) -> StftParams:
         return StftParams(segment_len=self.segment_len, hop=self.hop,
@@ -168,17 +168,11 @@ def _get_network(cfg: PipelineConfig):
 def _make_featurizer(cfg: PipelineConfig):
     network = _get_network(cfg)
     params = cfg.stft_params()
-    dim = cfg.image_size ** 2 if network is None else network.code_dim
 
     def featurize(clips):
-        X = np.empty((len(clips), dim))  # each thread fills its own rows
-        map_chunks(
-            lambda r: featurize_clips(
-                clips[r.start:r.stop], mode=cfg.features, network=network,
-                params=params, width=cfg.image_size, height=cfg.image_size,
-                out=X[r.start:r.stop]),
-            len(clips), cfg.jobs)
-        return X
+        return featurize_clips(clips, mode=cfg.features, network=network,
+                               params=params, width=cfg.image_size,
+                               height=cfg.image_size, jobs=cfg.jobs)
 
     return featurize
 
@@ -318,7 +312,7 @@ _COMMON_FLAGS = {
     "config": {"help": "flat key=value config file"},
     "seed": {"type": int, "default": None},
     "jobs": {"type": int, "default": None,
-             "help": "worker threads (default: the usable CPUs)"},
+             "help": "worker threads (default: usable CPUs / BLAS threads)"},
 }
 
 

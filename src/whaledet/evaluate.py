@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import svm
-from .parallel import map_chunks
+from .parallel import map_chunks, threads_within_memory
 from .svm import LabeledSet
 from .synth import ExperimentConfig, NoiseBank, build_experiment
 
@@ -140,7 +140,8 @@ def run_monte_carlo(
     Each fold's features are centered and scaled by statistics computed
     from the training draw only.  The folds run on up to `jobs` threads,
     each with one pair of fold buffers that every fold of its chunk
-    refills; the matrices come back in fold order.
+    refills, and no more threads than half the available memory holds;
+    the matrices come back in fold order.
     """
     features, labels = pool.features, pool.labels
     if len(pool) < n_train + n_test:
@@ -178,7 +179,11 @@ def run_monte_carlo(
             matrices.append(confusion(preds, labels[test_idx]))
         return matrices
 
-    chunks = map_chunks(run_folds, n_iter, jobs)
+    # a thread holds its two buffers and, on the primal path, svm.train's
+    # augmented copy of x_train
+    bytes_per_thread = (2 * n_train + n_test) * dim * 8  # float64
+    chunks = map_chunks(run_folds, n_iter,
+                        threads_within_memory(jobs, bytes_per_thread))
     return MonteCarloResult(matrices=[m for chunk in chunks for m in chunk])
 
 

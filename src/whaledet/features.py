@@ -19,6 +19,7 @@ import numpy as np
 
 from .audio import AudioClip
 from .cnn import Network, extract_code
+from .parallel import map_chunks
 from .spectrogram import StftParams, stft_spectrogram, to_image
 
 FEATURE_MODES = ("cnn", "spectrogram")
@@ -35,29 +36,34 @@ def featurize_clips(
     params: StftParams | None = None,
     width: int = 256,
     height: int = 256,
-    out: np.ndarray | None = None,
+    jobs: int = 1,
 ) -> np.ndarray:
-    """Feature matrix (n_clips x dim) for a list of analysis windows.
-
-    The rows are written into `out` when it is given, else into a new
-    matrix sized by the first row.
-    """
+    """Feature matrix (n_clips x dim) for a list of analysis windows,
+    computed on up to `jobs` threads."""
     if mode not in FEATURE_MODES:
         raise FeatureError(f"unknown feature mode: {mode}")
     if mode == "cnn" and network is None:
         raise FeatureError("cnn feature mode requires a network")
     if not clips:
         raise FeatureError("no clips to featurize")
-    for i, clip in enumerate(clips):
-        image = to_image(stft_spectrogram(clip, params), width=width, height=height)
-        if mode == "cnn":
-            row = extract_code(network, image)
-        else:
-            row = image.pixels.astype(np.float64).ravel() / 255.0
-        if out is None:
-            out = np.empty((len(clips), row.size))
-        out[i] = row
-    return out
+    # Rows go straight into one matrix.  Kept as separate arrays until the
+    # end, they sit in the heap among other windows' temporaries: on two
+    # threads, the peak memory of featurizing 160 windows to 65 536-d rows
+    # then rose by 50 MB in half the runs.
+    X = np.empty((len(clips),
+                  network.code_dim if mode == "cnn" else width * height))
+
+    def fill(indices) -> None:
+        for i in indices:
+            image = to_image(stft_spectrogram(clips[i], params),
+                             width=width, height=height)
+            if mode == "cnn":
+                X[i] = extract_code(network, image)
+            else:
+                X[i] = image.pixels.astype(np.float64).ravel() / 255.0
+
+    map_chunks(fill, len(clips), jobs)
+    return X
 
 
 def save_features(path, X: np.ndarray) -> None:

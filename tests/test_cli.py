@@ -215,9 +215,11 @@ def test_config_file_round_trip(tmp_path):
     assert "seed=9" in cfg.to_lines()
 
 
-def test_jobs_flag_does_not_change_features(tmp_path, small_dataset):
-    # cnn runs a conv GEMM per window inside each worker thread; no --jobs
-    # means one thread per usable CPU
+def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
+                                           monkeypatch):
+    # cnn runs a conv GEMM per window inside each worker thread; with BLAS
+    # on one thread, no --jobs means one thread per usable CPU
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     cfg, ds = small_dataset
     for features in ("spectrogram", "cnn"):
         outputs = []
@@ -231,9 +233,10 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset):
 
 
 @pytest.mark.parametrize("dim", [6, 80], ids=["primal", "gram"])
-def test_evaluate_jobs_do_not_change_output(tmp_path, dim):
+def test_evaluate_jobs_do_not_change_output(tmp_path, monkeypatch, dim):
     # 5 folds: uneven chunks at 2 and 3 jobs, idle jobs at 8; 80-d folds of
     # 24 rows take the SVM's Gram path, 6-d ones the primal loop
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     rng = np.random.default_rng(dim)
     labels = np.array([1, 0] * 20)
     X = labels[:, None] * (2.0 / np.sqrt(dim)) \
