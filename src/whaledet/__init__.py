@@ -19,7 +19,6 @@ from .cnn import (
 from .evaluate import (
     ConfusionMatrix,
     MonteCarloResult,
-    SweepResult,
     confusion,
     run_monte_carlo,
     snr_sweep,
@@ -49,7 +48,7 @@ __all__ = [
     "AudioClip", "frame_windows", "load_wav", "mean_square_power",
     "normalize_unit", "save_wav", "Network", "extract_code", "load_network",
     "save_network", "tiny_vgg", "ConfusionMatrix", "MonteCarloResult",
-    "SweepResult", "confusion", "run_monte_carlo", "snr_sweep",
+    "confusion", "run_monte_carlo", "snr_sweep",
     "featurize_clips", "GrayImage", "Spectrogram", "StftParams",
     "stft_spectrogram", "to_image", "LabeledSet", "SvmModel",
     "decision_values", "predict_batch", "train", "ExperimentConfig",

@@ -115,6 +115,10 @@ def frame_windows(clip: AudioClip, window_s: float = 2.0) -> list[AudioClip]:
     The trailing remainder shorter than one window is discarded.
     """
     window_len = int(round(window_s * clip.sample_rate_hz))
+    if window_len < 1:
+        raise WindowingError(
+            f"a {window_s} s window at {clip.sample_rate_hz:g} Hz is under "
+            f"one sample")
     n = len(clip) // window_len
     if n == 0:
         raise WindowingError(

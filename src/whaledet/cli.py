@@ -125,8 +125,9 @@ class PipelineConfig:
         return replace(cfg, **overrides)
 
 
-# settings that size or count something; 0 or less has no meaning
-_POSITIVE_SETTINGS = ("jobs", "hop", "window_s", "image_size", "n_iter")
+# settings that size, count or weigh something; 0 or less has no meaning
+_POSITIVE_SETTINGS = ("jobs", "hop", "window_s", "image_size", "n_iter",
+                      "sample_rate", "c_param", "svm_max_iter")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -274,13 +275,12 @@ def cmd_evaluate(args) -> int:
         n_test=cfg.n_test, seed=cfg.seed, c_param=cfg.c_param,
         max_iter=cfg.svm_max_iter, jobs=cfg.jobs,
     )
-    cell = ev.SweepCell.from_result("-", float("nan"), result)
     with open(args.out, "w") as fh:
         fh.write(",".join(ev.SWEEP_CSV_FIELDS) + "\n")
         # one pool has no SNR; " -" keeps the row's established "-, -" prefix
-        fh.write(",".join(ev.sweep_row(cell, snr_text=" -")) + "\n")
-    print(f"correct_recognition={cell.mean_correct_recognition:.4f} "
-          f"false_alarm={cell.mean_false_alarm:.4f} -> {args.out}")
+        fh.write(",".join(ev.sweep_row(result, snr_text=" -")) + "\n")
+    print(f"correct_recognition={result.mean_correct_recognition:.4f} "
+          f"false_alarm={result.mean_false_alarm:.4f} -> {args.out}")
     return EXIT_OK
 
 
@@ -292,7 +292,7 @@ def cmd_sweep(args) -> int:
             f"n_pos + n_neg ({cfg.n_pos} + {cfg.n_neg}) samples of each cell")
     units = _load_units(cfg, args.units)
     bank = _load_bank(cfg, args.bank)
-    result = ev.snr_sweep(
+    cells = ev.snr_sweep(
         units, bank, _make_featurizer(cfg),
         experiments=cfg.experiment_list(), snr_values=cfg.snr_list(),
         n_pos=cfg.n_pos, n_neg=cfg.n_neg, n_iter=cfg.n_iter,
@@ -302,9 +302,9 @@ def cmd_sweep(args) -> int:
     )
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "sweep")
-    ev.write_sweep_csv(result, out_dir / "sweep_results.csv")
-    ev.write_confusion_csv(result, out_dir / "confusion_matrices.csv")
-    print(f"wrote {len(result.cells)} sweep cells to {out_dir}")
+    ev.write_sweep_csv(cells, out_dir / "sweep_results.csv")
+    ev.write_confusion_csv(cells, out_dir / "confusion_matrices.csv")
+    print(f"wrote {len(cells)} sweep cells to {out_dir}")
     return EXIT_OK
 
 

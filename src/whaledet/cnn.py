@@ -392,12 +392,13 @@ def save_network(net: Network, path) -> None:
 def tiny_vgg(seed: int = 0, in_size: int = 256, code_dim: int = 64) -> Network:
     """Small seed-fixed random network for deterministic desk-scale runs.
 
-    Two conv/pool pairs followed by two fc layers (the second is the code
-    layer), plus a 2-way classifier head and softmax that extract_code skips.
-    Weights are He-initialized float32 so the network round-trips through
-    the CNNW file format bit-exactly.  The fc layers get a small positive
-    bias: with zero bias, randomly-initialized ReLU units die in droves and
-    the code loses a third of its dimensions.
+    Two conv/pool pairs followed by two fc layers; the second is the code
+    layer and the last.  It has no classifier head: extract_code stops at
+    the code layer, and the linear SVM classifies the code.  Weights are
+    He-initialized float32 so the network round-trips through the CNNW file
+    format bit-exactly.  The fc layers get a small positive bias: with zero
+    bias, randomly-initialized ReLU units die in droves and the code loses a
+    third of its dimensions.
     """
     rng = np.random.default_rng(seed)
 
@@ -413,10 +414,8 @@ def tiny_vgg(seed: int = 0, in_size: int = 256, code_dim: int = 64) -> Network:
     fc1 = FcLayer(he((128, flat), flat), np.full(128, fc_bias, dtype=np.float64))
     fc2 = FcLayer(he((code_dim, 128), 128),
                   np.full(code_dim, fc_bias, dtype=np.float64))
-    head = FcLayer(he((2, code_dim), code_dim), np.zeros(2))
     net = Network(
-        layers=[conv1, MaxPoolLayer(), conv2, MaxPoolLayer(), fc1, fc2, head,
-                SoftmaxLayer()],
+        layers=[conv1, MaxPoolLayer(), conv2, MaxPoolLayer(), fc1, fc2],
         code_layer_index=5,
         in_channels=1,
         in_height=in_size,

@@ -10,7 +10,7 @@ execution agree.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,9 +61,17 @@ def confusion(predictions, truth) -> ConfusionMatrix:
     )
 
 
+COUNTS = ("tp", "fp", "fn", "tn")
+
+
 @dataclass
 class MonteCarloResult:
+    """One pool's fold matrices and their statistics; a sweep tags each
+    cell with its experiment and SNR, a single pool keeps the defaults."""
+
     matrices: list[ConfusionMatrix] = field(default_factory=list)
+    experiment_id: str = "-"
+    snr_db: float = float("nan")
 
     @property
     def n_iter(self) -> int:
@@ -88,11 +96,9 @@ class MonteCarloResult:
     def std_false_alarm(self) -> float:
         return float(self._rates("false_alarm").std())
 
-    def mean_counts(self) -> dict[str, float]:
-        return {
-            k: float(np.mean([getattr(m, k) for m in self.matrices]))
-            for k in ("tp", "fp", "fn", "tn")
-        }
+    def mean_count(self, k: str) -> float:
+        """Mean over the folds of one of the COUNTS."""
+        return float(np.mean([getattr(m, k) for m in self.matrices]))
 
 
 def _draw_split(labels: np.ndarray, n_train: int, n_test: int, rng):
@@ -187,43 +193,6 @@ def run_monte_carlo(
     return MonteCarloResult(matrices=[m for chunk in chunks for m in chunk])
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    experiment_id: str
-    snr_db: float
-    n_iter: int
-    mean_correct_recognition: float
-    std_correct_recognition: float
-    mean_false_alarm: float
-    std_false_alarm: float
-    mean_tp: float
-    mean_fp: float
-    mean_fn: float
-    mean_tn: float
-
-    @classmethod
-    def from_result(cls, experiment_id: str, snr_db: float,
-                    result: MonteCarloResult) -> "SweepCell":
-        counts = result.mean_counts()
-        return cls(
-            experiment_id, snr_db, result.n_iter,
-            result.mean_correct_recognition, result.std_correct_recognition,
-            result.mean_false_alarm, result.std_false_alarm,
-            counts["tp"], counts["fp"], counts["fn"], counts["tn"],
-        )
-
-
-@dataclass
-class SweepResult:
-    cells: list[SweepCell] = field(default_factory=list)
-
-    def cell(self, experiment_id: str, snr_db: float) -> SweepCell:
-        for c in self.cells:
-            if c.experiment_id == experiment_id and c.snr_db == snr_db:
-                return c
-        raise EvalError(f"no sweep cell for ({experiment_id}, {snr_db})")
-
-
 DEFAULT_SNR_VALUES = (-10.0, -5.0, 0.0, 5.0, 10.0)
 
 
@@ -243,8 +212,8 @@ def snr_sweep(
     c_param: float = 1.0,
     svm_max_iter: int = 1000,
     jobs: int = 1,
-) -> SweepResult:
-    """Full (experiment x SNR) evaluation grid.
+) -> list[MonteCarloResult]:
+    """Full (experiment x SNR) evaluation grid, one result per cell.
 
     featurize_fn maps a list of AudioClips to a feature matrix, so CNN codes
     and raw spectrogram images plug into the same harness.  Each cell's
@@ -267,8 +236,9 @@ def snr_sweep(
                 seed=cell_seed, c_param=c_param, max_iter=svm_max_iter,
                 jobs=jobs,
             )
-            cells.append(SweepCell.from_result(exp, float(snr_db), result))
-    return SweepResult(cells=cells)
+            cells.append(replace(result, experiment_id=exp,
+                                 snr_db=float(snr_db)))
+    return cells
 
 
 SWEEP_CSV_FIELDS = (
@@ -279,33 +249,30 @@ SWEEP_CSV_FIELDS = (
 )
 
 
-def sweep_row(c: SweepCell, snr_text: str | None = None) -> list[str]:
+def sweep_row(c: MonteCarloResult, snr_text: str | None = None) -> list[str]:
     """The SWEEP_CSV_FIELDS of one cell; snr_text replaces the SNR column."""
     return [
         c.experiment_id, f"{c.snr_db:.1f}" if snr_text is None else snr_text,
         str(c.n_iter),
         f"{c.mean_correct_recognition:.6f}", f"{c.std_correct_recognition:.6f}",
         f"{c.mean_false_alarm:.6f}", f"{c.std_false_alarm:.6f}",
-        f"{c.mean_tp:.3f}", f"{c.mean_fp:.3f}",
-        f"{c.mean_fn:.3f}", f"{c.mean_tn:.3f}",
+        *(f"{c.mean_count(k):.3f}" for k in COUNTS),
     ]
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
+def write_sweep_csv(cells: list[MonteCarloResult], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_FIELDS)
-        writer.writerows(sweep_row(c) for c in result.cells)
+        writer.writerows(sweep_row(c) for c in cells)
 
 
-def write_confusion_csv(result: SweepResult, path) -> None:
-    """Per-cell mean confusion counts, plot-ready."""
+def write_confusion_csv(cells: list[MonteCarloResult], path) -> None:
+    """Per-cell mean confusion counts, plot-ready: the id, SNR and count
+    columns of the sweep rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["experiment_id", "snr_db", "tp", "fp", "fn", "tn"])
-        for c in result.cells:
-            writer.writerow([
-                c.experiment_id, f"{c.snr_db:.1f}",
-                f"{c.mean_tp:.3f}", f"{c.mean_fp:.3f}",
-                f"{c.mean_fn:.3f}", f"{c.mean_tn:.3f}",
-            ])
+        writer.writerow(["experiment_id", "snr_db", *COUNTS])
+        for c in cells:
+            row = sweep_row(c)
+            writer.writerow(row[:2] + row[-len(COUNTS):])

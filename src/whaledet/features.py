@@ -67,12 +67,13 @@ def featurize_clips(
 
 
 def save_features(path, X: np.ndarray) -> None:
-    X = np.asarray(X, dtype=np.float32)
+    # one little-endian row-major float32 copy, written from its buffer
+    X = np.ascontiguousarray(X, dtype="<f4")
     if X.ndim != 2:
         raise FeatureError("feature matrix must be 2-D")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", X.shape[0], X.shape[1]))
-        fh.write(X.astype("<f4").tobytes())
+        fh.write(X)
 
 
 def load_features(path) -> np.ndarray:

@@ -90,8 +90,8 @@ def train(
     X = data.features
     if not np.isfinite(X).all():
         raise NonFiniteFeatureError("features contain NaN or infinity")
-    if c_param <= 0:
-        raise SvmError(f"c_param must be > 0, got {c_param}")
+    if not 0 < c_param < math.inf:
+        raise SvmError(f"c_param must be finite and > 0, got {c_param}")
     labels = data.labels
     classes = np.unique(labels)
     if len(classes) < 2:

@@ -169,7 +169,7 @@ def test_criterion_5_end_to_end_desk_scale():
                     n_pos=80, n_neg=80, n_iter=20, n_train=100, n_test=60,
                     seed=0)
     cr = {(c.experiment_id, c.snr_db): c.mean_correct_recognition
-          for c in res.cells}
+          for c in res}
     a = all(cr[("E1", s)] >= 0.9 for s in (-10.0, 0.0, 10.0))
     b = all(cr[(e, 10.0)] >= cr[(e, -10.0)]
             for e in ("E2", "E3", "E4", "E5", "E6"))

@@ -103,6 +103,12 @@ def test_frame_windows_too_short():
         frame_windows(clip, 2.0)
 
 
+def test_frame_windows_under_one_sample():
+    clip = AudioClip(np.zeros(8000), 8000)  # 1e-5 s is 0.08 samples
+    with pytest.raises(WindowingError, match="under one sample"):
+        frame_windows(clip, 1e-5)
+
+
 def test_frame_windows_concatenation_is_source_prefix():
     rng = np.random.default_rng(11)
     clip = AudioClip(rng.standard_normal(10000), 1000)

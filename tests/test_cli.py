@@ -18,6 +18,10 @@ FAST = [
     "image_size=32", "n_units=4", "bank_clip_s=6.0", "bank_clips_per_type=1",
 ]
 
+# a one-cell sweep grid small enough for FAST
+SMALL_SWEEP = ["experiments=E1", "snr_values=0", "n_pos=4", "n_neg=4",
+               "n_iter=1", "n_train=4", "n_test=4", "svm_max_iter=20"]
+
 
 def _cfg(tmp_path, extra=()):
     path = tmp_path / "run.cfg"
@@ -258,6 +262,28 @@ def test_evaluate_jobs_do_not_change_output(tmp_path, monkeypatch, dim):
     assert float(row[4]) > 0.0  # the folds' recognition rates differ
 
 
+@pytest.mark.parametrize("solver, n_train", [("gram", 24), ("primal", 48)])
+def test_evaluate_matches_golden(tmp_path, solver, n_train):
+    # 80 x 30 pool: 24-row folds take the SVM's Gram path (n <= d + 1),
+    # 48-row folds the primal loop; see tests/data/README
+    golden = Path(__file__).parent / "data" / "evaluate_golden"
+    out = tmp_path / "eval.csv"
+    assert main(["evaluate", "--features", str(golden / "pool.feat"),
+                 "--labels", str(golden / "pool.labels.csv"), "--n-iter", "5",
+                 "--n-train", str(n_train), "--n-test", "16", "--seed", "4",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden / f"{solver}.csv").read_bytes()
+
+
+def test_save_features_writes_row_major(tmp_path):
+    X = np.arange(12, dtype=np.float64).reshape(3, 4).T  # Fortran order
+    assert not X.flags.c_contiguous
+    feat = tmp_path / "t.feat"
+    save_features(feat, X)
+    assert feat.read_bytes()[8:] == X.astype("<f4").tobytes(order="C")
+    assert np.array_equal(load_features(feat), X)
+
+
 def _golden_wav(path):
     """6.5 s float32 chirp in noise at 44.1 kHz: three 2-s windows."""
     sr = 44100
@@ -308,22 +334,37 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("featurize-config", "hop=0\n", 1),
     ("featurize-config", "window_s=0\n", 1),
     ("featurize-config", "image_size=0\n", 1),
+    ("featurize-config", "window_s=0.00001\n", 2),
     ("evaluate-config", "n_iter=0\nn_train=20\nn_test=10\n", 1),
+    ("config", "snr_values=0\nsample_rate=0\n", 1),
+    ("train-config", "c_param=nan\n", 1),
+    ("train-config", "c_param=inf\n", 1),
+    ("train-config", "svm_max_iter=0\n", 1),
+    ("evaluate-config", "c_param=nan\nn_train=20\nn_test=10\n", 1),
+    ("evaluate-config", "svm_max_iter=-1\nn_train=20\nn_test=10\n", 1),
+    ("sweep-config", "sample_rate=0\n", 1),
+    ("sweep-config", "c_param=inf\n", 1),
+    ("sweep-config", "svm_max_iter=0\n", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
         "manifest-empty", "config-not-utf8", "label-not-utf8",
         "model-not-ascii", "manifest-not-utf8", "features-header-overflow",
         "jobs-zero", "hop-zero", "window-zero", "image-size-zero",
-        "n-iter-zero"])
+        "window-under-one-sample", "n-iter-zero", "synth-sample-rate-zero",
+        "train-c-nan", "train-c-inf", "train-max-iter-zero",
+        "evaluate-c-nan", "evaluate-max-iter-negative",
+        "sweep-sample-rate-zero", "sweep-c-inf", "sweep-max-iter-zero"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
     ds.mkdir()
     wavfile.write(str(ds / "s0.wav"), 8000, np.ones(16000, dtype=np.float32))
     bad = ds / "manifest.csv" if kind == "manifest" else tmp_path / "bad.txt"
-    if kind == "featurize-config":  # the fast geometry, then the bad value
-        text = "\n".join(FAST) + "\n" + text
+    if kind in ("featurize-config", "sweep-config"):
+        # the fast geometry and a one-cell grid that fits it, then the bad
+        # value
+        text = "\n".join(FAST + SMALL_SWEEP) + "\n" + text
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = str(tmp_path / "out")
     argv = {
@@ -340,8 +381,12 @@ def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
         "featurize-config": ["featurize", "--config", str(bad), "--in",
                              str(ds / "s0.wav"), "--features", "spectrogram",
                              "--out", out],
+        "train-config": ["train", "--config", str(bad), "--features",
+                         str(feat), "--labels", str(labels), "--out", out],
         "evaluate-config": ["evaluate", "--config", str(bad), "--features",
                             str(feat), "--labels", str(labels), "--out", out],
+        "sweep-config": ["sweep", "--config", str(bad), "--features",
+                         "spectrogram", "--out", out],
     }[kind]
     try:
         rc = main(argv)

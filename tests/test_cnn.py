@@ -195,14 +195,20 @@ def test_extract_code_deterministic():
 
 
 def test_extract_code_skips_top_layers():
-    net = tiny_vgg(in_size=32)
+    vgg = tiny_vgg(in_size=32)
+    head = FcLayer(np.random.default_rng(13).standard_normal((2, 64)),
+                   np.zeros(2))
+    net = Network(layers=[*vgg.layers, head, SoftmaxLayer()],
+                  code_layer_index=vgg.code_layer_index, in_channels=1,
+                  in_height=32, in_width=32)
+    validate_network(net)
     img = GrayImage(np.random.default_rng(11).integers(0, 256, (32, 32),
                                                        dtype=np.uint8))
     code = extract_code(net, img)
-    upto = forward(net, np.repeat(img.pixels[None] / 255.0, 1, axis=0),
-                   upto=net.code_layer_index)
-    assert np.array_equal(code, upto)
-    assert len(code) != 2  # not the classifier head output
+    x = img.pixels[None] / 255.0
+    assert np.array_equal(code, forward(net, x, upto=net.code_layer_index))
+    assert np.array_equal(code, extract_code(vgg, img))
+    assert forward(net, x).shape == (2,)  # the head runs only in forward
 
 
 def test_golden_code_vector(tmp_path):

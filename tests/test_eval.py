@@ -143,13 +143,13 @@ def small_sweep():
 
 
 def test_sweep_grid_size(small_sweep):
-    assert len(small_sweep.cells) == 4
-    ids = {(c.experiment_id, c.snr_db) for c in small_sweep.cells}
+    assert len(small_sweep) == 4
+    ids = {(c.experiment_id, c.snr_db) for c in small_sweep}
     assert ids == {("E1", -10.0), ("E1", 10.0), ("E2", -10.0), ("E2", 10.0)}
 
 
 def test_sweep_rates_in_range(small_sweep):
-    for c in small_sweep.cells:
+    for c in small_sweep:
         assert 0.0 <= c.mean_correct_recognition <= 1.0
         assert 0.0 <= c.mean_false_alarm <= 1.0
         assert c.std_correct_recognition >= 0.0
@@ -164,10 +164,3 @@ def test_sweep_csv_outputs(tmp_path, small_sweep):
     conf = tmp_path / "conf.csv"
     write_confusion_csv(small_sweep, conf)
     assert len(conf.read_text().strip().splitlines()) == 5
-
-
-def test_sweep_cell_lookup(small_sweep):
-    cell = small_sweep.cell("E1", 10.0)
-    assert cell.experiment_id == "E1"
-    with pytest.raises(EvalError):
-        small_sweep.cell("E9", 0.0)

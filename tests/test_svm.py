@@ -6,6 +6,7 @@ from whaledet.svm import (
     LabeledSet,
     NonFiniteFeatureError,
     SingleClassError,
+    SvmError,
     SvmModel,
     decision_values,
     load_model,
@@ -85,6 +86,12 @@ def test_training_errors_are_distinct():
     bad[0, 0] = np.nan
     with pytest.raises(NonFiniteFeatureError):
         train(LabeledSet(bad, np.array([0, 1, 0, 1])))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+def test_c_param_must_be_finite_and_positive(c):
+    with pytest.raises(SvmError, match="c_param must be finite and > 0"):
+        train(separable_2d(), c_param=c)
 
 
 def test_predict_trivial_cases():
