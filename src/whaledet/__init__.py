@@ -43,15 +43,3 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AudioClip", "frame_windows", "load_wav", "mean_square_power",
-    "normalize_unit", "save_wav", "Network", "extract_code", "load_network",
-    "save_network", "tiny_vgg", "ConfusionMatrix", "MonteCarloResult",
-    "confusion", "run_monte_carlo", "snr_sweep",
-    "featurize_clips", "GrayImage", "Spectrogram", "StftParams",
-    "stft_spectrogram", "to_image", "LabeledSet", "SvmModel",
-    "decision_values", "predict_batch", "train", "ExperimentConfig",
-    "MixedSample", "NoiseBank", "build_experiment", "mix_at_snr",
-    "synth_noise", "synth_whale_unit",
-]

@@ -1,7 +1,8 @@
 """Command-line front end: synth, featurize, train, predict, evaluate, sweep.
 
 Every command is deterministic given its config and seed; synth and sweep
-write a run_config.txt manifest embedding the exact configuration.
+write a run_config.txt manifest embedding the exact configuration, which
+--config reads back.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ from .features import (
     save_features,
     save_labels,
 )
-from .parallel import default_jobs
 from .spectrogram import SpectrogramError, StftParams
 from .svm import LabeledSet, SvmError
 from .synth import (
@@ -77,7 +77,6 @@ class PipelineConfig:
     bank_clip_s: float = 20.0
     bank_clips_per_type: int = 2
     seed: int = 0
-    jobs: int = field(default_factory=default_jobs)
 
     def stft_params(self) -> StftParams:
         return StftParams(segment_len=self.segment_len, hop=self.hop,
@@ -88,11 +87,14 @@ class PipelineConfig:
 
     def snr_list(self) -> list[float]:
         try:
-            return [float(s) for s in self.snr_values.split(",") if s.strip()]
+            snrs = [float(s) for s in self.snr_values.split(",") if s.strip()]
         except ValueError:
+            snrs = [math.nan]  # reported with the non-finite values below
+        if not all(map(math.isfinite, snrs)):
             raise UsageError(
-                f"snr_values expects comma-separated numbers, "
-                f"got '{self.snr_values}'") from None
+                f"snr_values expects comma-separated finite numbers, "
+                f"got '{self.snr_values}'")
+        return snrs
 
     def to_lines(self) -> list[str]:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
@@ -126,17 +128,16 @@ class PipelineConfig:
 
 
 # settings that size, count or weigh something; 0 or less has no meaning
-_POSITIVE_SETTINGS = ("jobs", "hop", "window_s", "image_size", "n_iter",
-                      "sample_rate", "c_param", "svm_max_iter")
+_POSITIVE_SETTINGS = ("hop", "window_s", "image_size", "n_iter", "sample_rate",
+                      "c_param", "svm_max_iter", "bank_clip_s")
 
 
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    for key in ("seed", "features", "network", "jobs", "n_iter", "n_train",
-                "n_test", "n_pos", "n_neg", "c_param"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg = replace(cfg, **{key: value})
+    # a flag whose dest is a config key overrides it when given
+    keys = {f.name for f in fields(cfg)}
+    cfg = replace(cfg, **{key: value for key, value in vars(args).items()
+                          if key in keys and value is not None})
     if getattr(args, "snr", None) is not None:
         cfg = replace(cfg, snr_values=",".join(str(s) for s in args.snr))
     if getattr(args, "experiment", None):
@@ -147,13 +148,16 @@ def _load_config(args) -> PipelineConfig:
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
             raise UsageError(f"{key} must be finite and > 0, got {value}")
+    for key in ("n_pos", "n_neg"):  # a cell may hold no samples of a class
+        if getattr(cfg, key) < 0:
+            raise UsageError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     return cfg
 
 
 def _write_run_config(out_dir: Path, cfg: PipelineConfig, command: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "run_config.txt", "w") as fh:
-        fh.write(f"command={command}\n")
+        fh.write(f"# command={command}\n")
         for line in cfg.to_lines():
             fh.write(line + "\n")
 
@@ -173,7 +177,7 @@ def _make_featurizer(cfg: PipelineConfig):
     def featurize(clips):
         return featurize_clips(clips, mode=cfg.features, network=network,
                                params=params, width=cfg.image_size,
-                               height=cfg.image_size, jobs=cfg.jobs)
+                               height=cfg.image_size)
 
     return featurize
 
@@ -273,7 +277,7 @@ def cmd_evaluate(args) -> int:
     result = ev.run_monte_carlo(
         LabeledSet(X, y), n_iter=cfg.n_iter, n_train=cfg.n_train,
         n_test=cfg.n_test, seed=cfg.seed, c_param=cfg.c_param,
-        max_iter=cfg.svm_max_iter, jobs=cfg.jobs,
+        max_iter=cfg.svm_max_iter,
     )
     with open(args.out, "w") as fh:
         fh.write(",".join(ev.SWEEP_CSV_FIELDS) + "\n")
@@ -298,7 +302,7 @@ def cmd_sweep(args) -> int:
         n_pos=cfg.n_pos, n_neg=cfg.n_neg, n_iter=cfg.n_iter,
         n_train=cfg.n_train, n_test=cfg.n_test, seed=cfg.seed,
         window_s=cfg.window_s, c_param=cfg.c_param,
-        svm_max_iter=cfg.svm_max_iter, jobs=cfg.jobs,
+        svm_max_iter=cfg.svm_max_iter,
     )
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "sweep")
@@ -308,17 +312,34 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_COMMON_FLAGS = {
+# flags shared by several commands; a flag whose dest is a PipelineConfig
+# key overrides that key (see _load_config)
+_FLAGS = {
     "config": {"help": "flat key=value config file"},
-    "seed": {"type": int, "default": None},
-    "jobs": {"type": int, "default": None,
-             "help": "worker threads (default: usable CPUs / BLAS threads)"},
+    "seed": {"type": int},
+    "experiment": {"action": "append", "help": "experiment id E1..E6"},
+    "snr": {"type": float, "action": "append", "help": "target SNR in dB"},
+    "units": {"help": "directory of sound-unit WAV files"},
+    "bank": {"help": "noise bank directory bank/<type>/*.wav"},
+    "features": {"choices": FEATURE_MODES},
+    "network": {"help": "CNNW weight file"},
+    "n-pos": {"type": int},
+    "n-neg": {"type": int},
+    "n-iter": {"type": int},
+    "n-train": {"type": int},
+    "n-test": {"type": int},
+    "labels": {"required": True},
+    "out": {"required": True},
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
+def _add_command(sub, name: str, summary: str, func, *flags: str):
+    """The subcommand `name`, running func, with the named _FLAGS."""
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,67 +349,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="build an SNR-controlled dataset")
-    _add_common(p, "config", "seed")
-    p.add_argument("--experiment", action="append",
-                   help="experiment id E1..E6")
-    p.add_argument("--snr", type=float, action="append",
-                   help="target SNR in dB")
-    p.add_argument("--units", help="directory of sound-unit WAV files")
-    p.add_argument("--bank", help="noise bank directory bank/<type>/*.wav")
-    p.add_argument("--n-pos", dest="n_pos", type=int, default=None)
-    p.add_argument("--n-neg", dest="n_neg", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    _add_command(sub, "synth", "build an SNR-controlled dataset", cmd_synth,
+                 "config", "seed", "experiment", "snr", "units", "bank",
+                 "n-pos", "n-neg", "out")
 
-    p = sub.add_parser("featurize", help="dataset -> feature file")
-    _add_common(p, "config", "jobs")
+    p = _add_command(sub, "featurize", "dataset -> feature file",
+                     cmd_featurize, "config", "features", "network", "out")
     p.add_argument("--in", dest="input", required=True,
                    help="dataset directory (manifest) or a single WAV")
-    p.add_argument("--features", choices=FEATURE_MODES, default=None)
-    p.add_argument("--network", default=None, help="CNNW weight file")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="train the linear SVM")
-    _add_common(p, "config", "seed")
+    p = _add_command(sub, "train", "train the linear SVM", cmd_train,
+                     "config", "seed", "labels", "out")
     p.add_argument("--features", dest="feature_file", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--c", dest="c_param", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--c", dest="c_param", type=float)
 
-    p = sub.add_parser("predict", help="classify feature rows")
+    p = _add_command(sub, "predict", "classify feature rows", cmd_predict,
+                     "out")
     p.add_argument("--model", required=True)
     p.add_argument("--features", dest="feature_file", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="Monte-Carlo evaluation of features")
-    _add_common(p, "config", "seed", "jobs")
+    p = _add_command(sub, "evaluate", "Monte-Carlo evaluation of features",
+                     cmd_evaluate, "config", "seed", "labels", "n-iter",
+                     "n-train", "n-test", "out")
     p.add_argument("--features", dest="feature_file", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--n-iter", dest="n_iter", type=int, default=None)
-    p.add_argument("--n-train", dest="n_train", type=int, default=None)
-    p.add_argument("--n-test", dest="n_test", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="full experiment x SNR grid")
-    _add_common(p, "config", "seed", "jobs")
-    p.add_argument("--experiment", action="append")
-    p.add_argument("--snr", type=float, action="append")
-    p.add_argument("--units", help="directory of sound-unit WAV files")
-    p.add_argument("--bank", help="noise bank directory")
-    p.add_argument("--features", choices=FEATURE_MODES, default=None)
-    p.add_argument("--network", default=None)
-    p.add_argument("--n-pos", dest="n_pos", type=int, default=None)
-    p.add_argument("--n-neg", dest="n_neg", type=int, default=None)
-    p.add_argument("--n-iter", dest="n_iter", type=int, default=None)
-    p.add_argument("--n-train", dest="n_train", type=int, default=None)
-    p.add_argument("--n-test", dest="n_test", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    _add_command(sub, "sweep", "full experiment x SNR grid", cmd_sweep,
+                 "config", "seed", "experiment", "snr", "units", "bank",
+                 "features", "network", "n-pos", "n-neg", "n-iter",
+                 "n-train", "n-test", "out")
 
     return parser
 

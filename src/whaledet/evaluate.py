@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import svm
-from .parallel import map_chunks, threads_within_memory
+from .parallel import map_chunks
 from .svm import LabeledSet
 from .synth import ExperimentConfig, NoiseBank, build_experiment
 
@@ -139,15 +139,14 @@ def run_monte_carlo(
     seed: int = 0,
     c_param: float = 1.0,
     max_iter: int = 1000,
-    jobs: int = 1,
 ) -> MonteCarloResult:
     """Repeated random resampling: train an SVM, score the held-out test set.
 
     Each fold's features are centered and scaled by statistics computed
-    from the training draw only.  The folds run on up to `jobs` threads,
-    each with one pair of fold buffers that every fold of its chunk
-    refills, and no more threads than half the available memory holds;
-    the matrices come back in fold order.
+    from the training draw only.  The folds run on the threads map_chunks
+    chooses, each with one pair of fold buffers that every fold of its
+    chunk refills, and no more threads than half the available memory
+    holds; the matrices come back in fold order.
     """
     features, labels = pool.features, pool.labels
     if len(pool) < n_train + n_test:
@@ -188,8 +187,7 @@ def run_monte_carlo(
     # a thread holds its two buffers and, on the primal path, svm.train's
     # augmented copy of x_train
     bytes_per_thread = (2 * n_train + n_test) * dim * 8  # float64
-    chunks = map_chunks(run_folds, n_iter,
-                        threads_within_memory(jobs, bytes_per_thread))
+    chunks = map_chunks(run_folds, n_iter, bytes_per_thread)
     return MonteCarloResult(matrices=[m for chunk in chunks for m in chunk])
 
 
@@ -211,13 +209,11 @@ def snr_sweep(
     window_s: float = 2.0,
     c_param: float = 1.0,
     svm_max_iter: int = 1000,
-    jobs: int = 1,
 ) -> list[MonteCarloResult]:
     """Full (experiment x SNR) evaluation grid, one result per cell.
 
     featurize_fn maps a list of AudioClips to a feature matrix, so CNN codes
-    and raw spectrogram images plug into the same harness.  Each cell's
-    Monte-Carlo folds run on up to `jobs` threads.
+    and raw spectrogram images plug into the same harness.
     """
     cells = []
     for ei, exp in enumerate(experiments):
@@ -234,7 +230,6 @@ def snr_sweep(
             result = run_monte_carlo(
                 pool, n_iter=n_iter, n_train=n_train, n_test=n_test,
                 seed=cell_seed, c_param=c_param, max_iter=svm_max_iter,
-                jobs=jobs,
             )
             cells.append(replace(result, experiment_id=exp,
                                  snr_db=float(snr_db)))

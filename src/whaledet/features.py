@@ -36,10 +36,9 @@ def featurize_clips(
     params: StftParams | None = None,
     width: int = 256,
     height: int = 256,
-    jobs: int = 1,
 ) -> np.ndarray:
     """Feature matrix (n_clips x dim) for a list of analysis windows,
-    computed on up to `jobs` threads."""
+    computed on the threads map_chunks chooses."""
     if mode not in FEATURE_MODES:
         raise FeatureError(f"unknown feature mode: {mode}")
     if mode == "cnn" and network is None:
@@ -62,7 +61,7 @@ def featurize_clips(
             else:
                 X[i] = image.pixels.astype(np.float64).ravel() / 255.0
 
-    map_chunks(fill, len(clips), jobs)
+    map_chunks(fill, len(clips))
     return X
 
 

@@ -3,7 +3,10 @@
 numpy releases the interpreter lock inside its array kernels, so windows
 and Monte-Carlo folds run concurrently on threads.  Each chunk is one
 contiguous index range and its results come back in index order, so the
-output does not depend on the number of threads.
+output does not depend on the number of threads.  That number is decided
+here alone, from the usable CPUs, the threads each BLAS call may start and
+the free memory; restricting the process's CPU affinity (for example with
+taskset) lowers it.
 """
 
 from __future__ import annotations
@@ -111,9 +114,10 @@ def chunk_ranges(n_items: int, jobs: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def map_chunks(fn, n_items: int, jobs: int) -> list:
+def map_chunks(fn, n_items: int, bytes_per_thread: int = 0) -> list:
     """[fn(iter(r)) for r in chunk_ranges(n_items, jobs)], one thread per
-    range.
+    range, where jobs is default_jobs() lowered by threads_within_memory
+    for threads that each hold bytes_per_thread of their own buffers.
 
     fn receives an iterator over its range's indices.  Once one chunk
     raises, or the caller is interrupted, the other chunks' iterators end
@@ -121,7 +125,8 @@ def map_chunks(fn, n_items: int, jobs: int) -> list:
     per thread; the first error raised is the one re-raised.  A single
     range runs in the calling thread.
     """
-    chunks = chunk_ranges(n_items, jobs)
+    chunks = chunk_ranges(
+        n_items, threads_within_memory(default_jobs(), bytes_per_thread))
     if len(chunks) == 1:
         return [fn(iter(chunks[0]))]
     stop = threading.Event()

@@ -71,6 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENT_NOISE_TYPES:
             raise SynthError(f"unknown experiment id: {self.experiment_id}")
+        if not math.isfinite(self.snr_db):
+            raise SynthError(f"snr_db must be finite, got {self.snr_db}")
 
     @property
     def noise_types(self) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from naive_ref import naive_conv, naive_dft_frame, naive_fc, naive_maxpool
+from whaledet import parallel
 from whaledet.audio import AudioClip, mean_square_power
 from whaledet.cli import main
 from whaledet.cnn import (
@@ -210,13 +211,23 @@ def test_criterion_6_sweep_determinism(tmp_path):
             if ok else "rerun output differs")
 
 
-def test_criterion_6_sweep_matches_golden(tmp_path):
+def test_criterion_6_sweep_matches_golden(tmp_path, monkeypatch):
     golden_dir = Path(__file__).parent / "data" / "sweep_golden"
     golden = tuple((golden_dir / name).read_bytes() for name in SWEEP_CSVS)
-    ok = _criterion_6_sweep(tmp_path, "run") == golden
+    differ = []
+    # the default thread count, then 3 threads: 24 windows and 3 folds per
+    # cell split across threads
+    for threads in (None, 3):
+        if threads:
+            monkeypatch.setattr(parallel, "default_jobs", lambda: threads)
+        if _criterion_6_sweep(tmp_path, f"run{threads}") != golden:
+            differ.append(f"{threads or 'default'} threads")
+    ok = not differ
     _report("criterion 6 sweep golden", ok,
-            "sweep CSVs byte-identical to tests/data/sweep_golden"
-            if ok else "sweep CSVs differ from tests/data/sweep_golden")
+            "sweep CSVs byte-identical to tests/data/sweep_golden at the "
+            "default and 3 threads" if ok else
+            f"sweep CSVs differ from tests/data/sweep_golden at "
+            f"{', '.join(differ)}")
 
 
 def test_criterion_7_representation_comparison(tmp_path, capsys):

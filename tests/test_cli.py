@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from whaledet import parallel
 from whaledet.cli import PipelineConfig, main
 from whaledet.cnn import FcLayer, save_network, tiny_vgg
 from whaledet.features import load_features, load_labels, save_features, save_labels
@@ -45,7 +46,7 @@ def test_synth_command_manifest_snr(tmp_path):
     for row in rows:
         if row["label"] == "1":
             assert abs(float(row["achieved_snr_db"])) <= 0.01
-    assert (out / "run_config.txt").read_text().startswith("command=synth")
+    assert (out / "run_config.txt").read_text().startswith("# command=synth")
 
 
 def test_synth_missing_bank_names_path(tmp_path, capsys):
@@ -66,6 +67,21 @@ def test_synth_rerun_identical_manifest(tmp_path):
                      "--snr", "-5", "--seed", "3", "--out", str(out)]) == 0
         sums.append(hashlib.sha256((out / "manifest.csv").read_bytes()).hexdigest())
     assert sums[0] == sums[1]
+
+
+def test_synth_reruns_from_its_run_config(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["synth", "--config", _cfg(tmp_path, ["n_pos=3", "n_neg=3"]),
+                 "--experiment", "E4", "--snr", "5", "--seed", "8",
+                 "--out", str(first)]) == 0
+    assert main(["synth", "--config", str(first / "run_config.txt"),
+                 "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert "run_config.txt" in names and "manifest.csv" in names
+    assert len(names) == 2 + 3 + 3  # and one WAV per sample
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 @pytest.fixture()
@@ -186,18 +202,28 @@ def test_usage_errors_exit_1(tmp_path):
 
 
 def test_flags_only_on_commands_that_read_them(tmp_path, capsys):
-    # predict reads no config, seed or jobs; train featurizes nothing
+    # predict reads no config or seed; the thread count is no setting of
+    # any command, as a flag or as a config key
     feat, labels = _oracle_feature_files(tmp_path)
     model_path = tmp_path / "model.txt"
     save_model(SvmModel(np.ones(6), 0.0, 1.0), model_path)
     out = tmp_path / "out"
     assert main(["predict", "--model", str(model_path), "--features",
                  str(feat), "--seed", "1", "--out", str(out)]) == 1
-    assert main(["train", "--features", str(feat), "--labels", str(labels),
-                 "--jobs", "2", "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    jobs_cfg = tmp_path / "jobs.cfg"
+    jobs_cfg.write_text("jobs=2\n")
+    for argv in (["train", "--features", str(feat), "--labels", str(labels)],
+                 ["featurize", "--in", str(tmp_path)],
+                 ["evaluate", "--features", str(feat), "--labels",
+                  str(labels)],
+                 ["sweep"]):
+        assert main(argv + ["--jobs", "2", "--out", str(out)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert main(argv + ["--config", str(jobs_cfg),
+                            "--out", str(out)]) == 1
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert "--seed" in err and "--jobs" in err
 
 
 def test_sweep_split_larger_than_cell_is_usage_error(tmp_path, capsys):
@@ -219,19 +245,28 @@ def test_config_file_round_trip(tmp_path):
     assert "seed=9" in cfg.to_lines()
 
 
+_DEFAULT_JOBS = parallel.default_jobs
+
+
+def _set_jobs(monkeypatch, jobs):
+    """Run map_chunks on `jobs` threads, or for None on the default count,
+    which with BLAS on one thread is one thread per usable CPU."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(parallel, "default_jobs",
+                        _DEFAULT_JOBS if jobs is None else lambda: jobs)
+
+
 def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
                                            monkeypatch):
-    # cnn runs a conv GEMM per window inside each worker thread; with BLAS
-    # on one thread, no --jobs means one thread per usable CPU
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # cnn runs a conv GEMM per window inside each worker thread
     cfg, ds = small_dataset
     for features in ("spectrogram", "cnn"):
         outputs = []
-        for jobs in ([], ["--jobs", "1"], ["--jobs", "3"]):
+        for jobs in (None, 1, 3):
+            _set_jobs(monkeypatch, jobs)
             feat = tmp_path / f"{features}_j{len(outputs)}.feat"
             assert main(["featurize", "--config", cfg, "--in", str(ds),
-                         "--features", features, *jobs,
-                         "--out", str(feat)]) == 0
+                         "--features", features, "--out", str(feat)]) == 0
             outputs.append(feat.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2], features
 
@@ -240,7 +275,6 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
 def test_evaluate_jobs_do_not_change_output(tmp_path, monkeypatch, dim):
     # 5 folds: uneven chunks at 2 and 3 jobs, idle jobs at 8; 80-d folds of
     # 24 rows take the SVM's Gram path, 6-d ones the primal loop
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     rng = np.random.default_rng(dim)
     labels = np.array([1, 0] * 20)
     X = labels[:, None] * (2.0 / np.sqrt(dim)) \
@@ -249,13 +283,13 @@ def test_evaluate_jobs_do_not_change_output(tmp_path, monkeypatch, dim):
     save_features(feat, X)
     save_labels(tmp_path / "noisy.labels.csv", labels)
     outputs = []
-    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"],
-                 ["--jobs", "8"]):
+    for jobs in (None, 1, 2, 3, 8):
+        _set_jobs(monkeypatch, jobs)
         out = tmp_path / f"eval{len(outputs)}.csv"
         assert main(["evaluate", "--features", str(feat), "--labels",
                      str(tmp_path / "noisy.labels.csv"), "--n-iter", "5",
                      "--n-train", "24", "--n-test", "16", "--seed", "4",
-                     *jobs, "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert all(o == outputs[0] for o in outputs)
     row = outputs[0].decode().splitlines()[1].split(",")
@@ -330,7 +364,6 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("model", b"6 1.0 0.0\n" + b"0.0\n" * 5 + b"\xff\n", 2),
     ("manifest", b"sample_id,label\ns0.wav,1\xff\n", 2),
     ("features", struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(8), 2),
-    ("featurize-config", "jobs=0\n", 1),
     ("featurize-config", "hop=0\n", 1),
     ("featurize-config", "window_s=0\n", 1),
     ("featurize-config", "image_size=0\n", 1),
@@ -345,23 +378,36 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("sweep-config", "sample_rate=0\n", 1),
     ("sweep-config", "c_param=inf\n", 1),
     ("sweep-config", "svm_max_iter=0\n", 1),
+    ("synth-snr", "nan", 1),
+    ("sweep-snr", "nan", 1),
+    ("synth-snr", "inf", 1),
+    ("synth-snr", "-inf", 1),
+    ("synth-config", "bank_clip_s=nan\n", 1),
+    ("synth-config", "n_pos=-1\n", 1),
+    ("sweep-config", "n_pos=12\nn_neg=-1\n", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
         "manifest-empty", "config-not-utf8", "label-not-utf8",
         "model-not-ascii", "manifest-not-utf8", "features-header-overflow",
-        "jobs-zero", "hop-zero", "window-zero", "image-size-zero",
+        "hop-zero", "window-zero", "image-size-zero",
         "window-under-one-sample", "n-iter-zero", "synth-sample-rate-zero",
         "train-c-nan", "train-c-inf", "train-max-iter-zero",
         "evaluate-c-nan", "evaluate-max-iter-negative",
-        "sweep-sample-rate-zero", "sweep-c-inf", "sweep-max-iter-zero"])
+        "sweep-sample-rate-zero", "sweep-c-inf", "sweep-max-iter-zero",
+        "synth-snr-nan", "sweep-snr-nan", "synth-snr-inf",
+        "synth-snr-minus-inf", "synth-bank-clip-nan", "synth-n-pos-negative",
+        "sweep-n-neg-negative"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
     ds.mkdir()
     wavfile.write(str(ds / "s0.wav"), 8000, np.ones(16000, dtype=np.float32))
     bad = ds / "manifest.csv" if kind == "manifest" else tmp_path / "bad.txt"
-    if kind in ("featurize-config", "sweep-config"):
+    snr = []
+    if kind.endswith("-snr"):  # text is the --snr value, on a sound config
+        kind, snr, text = kind[:-4] + "-config", [f"--snr={text}"], ""
+    if kind in ("featurize-config", "synth-config", "sweep-config"):
         # the fast geometry and a one-cell grid that fits it, then the bad
         # value
         text = "\n".join(FAST + SMALL_SWEEP) + "\n" + text
@@ -385,9 +431,10 @@ def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
                          str(feat), "--labels", str(labels), "--out", out],
         "evaluate-config": ["evaluate", "--config", str(bad), "--features",
                             str(feat), "--labels", str(labels), "--out", out],
+        "synth-config": ["synth", "--config", str(bad), "--out", out],
         "sweep-config": ["sweep", "--config", str(bad), "--features",
                          "spectrogram", "--out", out],
-    }[kind]
+    }[kind] + snr
     try:
         rc = main(argv)
     except Exception as exc:  # the contract is an exit code, never a traceback

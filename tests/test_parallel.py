@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from whaledet import parallel
-from whaledet.cli import PipelineConfig
 from whaledet.evaluate import run_monte_carlo
 from whaledet.parallel import (
     available_memory,
@@ -44,24 +43,30 @@ def test_chunk_ranges_cover_items_in_order():
         chunk_ranges(3, 0)
 
 
-def test_jobs_far_above_items_make_one_chunk_per_item(pools):
+def set_jobs(monkeypatch, jobs):
+    monkeypatch.setattr(parallel, "default_jobs", lambda: jobs)
+
+
+def test_jobs_far_above_items_make_one_chunk_per_item(monkeypatch, pools):
     threads = set()
 
     def work(indices):
         threads.add(threading.get_ident())
         return list(indices)
 
-    assert map_chunks(work, 3, 10**9) == [[0], [1], [2]]
+    set_jobs(monkeypatch, 10**9)
+    assert map_chunks(work, 3) == [[0], [1], [2]]
     assert pools == [3]
     assert len(threads) <= 3
 
 
-def test_one_chunk_runs_in_the_calling_thread():
-    assert map_chunks(lambda r: threading.get_ident(), 4, 1) == \
+def test_one_chunk_runs_in_the_calling_thread(monkeypatch):
+    set_jobs(monkeypatch, 1)
+    assert map_chunks(lambda r: threading.get_ident(), 4) == \
         [threading.get_ident()]
 
 
-def test_failing_chunk_stops_the_others_and_its_error_surfaces():
+def test_failing_chunk_stops_the_others_and_its_error_surfaces(monkeypatch):
     done = []
 
     def work(indices):
@@ -76,8 +81,9 @@ def test_failing_chunk_stops_the_others_and_its_error_surfaces():
             raise RuntimeError("chunk cut short")
         return seen
 
+    set_jobs(monkeypatch, 2)
     with pytest.raises(ValueError, match="fold 200 failed"):
-        map_chunks(work, 400, 2)
+        map_chunks(work, 400)
     assert len(done) == 1 and done[0] < 200
 
 
@@ -115,7 +121,6 @@ def test_default_jobs_share_the_cpus_with_blas_threads(monkeypatch):
     assert default_jobs() == 2
     monkeypatch.setenv("MKL_NUM_THREADS", "16")
     assert default_jobs() == 1
-    assert PipelineConfig().jobs == default_jobs()
 
 
 def test_available_memory(tmp_path):
@@ -152,8 +157,9 @@ def test_monte_carlo_threads_keep_within_memory(monkeypatch, pools):
     def run(memory):
         monkeypatch.setattr(parallel, "available_memory", lambda: memory)
         return run_monte_carlo(pool, n_iter=4, n_train=30, n_test=20,
-                               seed=3, jobs=4).matrices
+                               seed=3).matrices
 
+    set_jobs(monkeypatch, 4)
     serial = run(3 * thread_bytes)  # room for one thread's buffers
     assert pools == []
     assert run(100 * thread_bytes) == serial

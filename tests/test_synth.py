@@ -197,6 +197,9 @@ def test_e6_noise_types_near_uniform():
 def test_experiment_config_validation():
     with pytest.raises(SynthError):
         ExperimentConfig("E7", snr_db=0.0, seed=0)
+    for snr_db in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SynthError, match="snr_db"):
+            ExperimentConfig("E1", snr_db=snr_db, seed=0)
     assert ExperimentConfig("E6", 0.0, 0).noise_types == (
         "wind", "rain", "traffic", "chorus")
 
