@@ -24,13 +24,7 @@ from .evaluate import (
     snr_sweep,
 )
 from .features import featurize_clips
-from .spectrogram import (
-    GrayImage,
-    Spectrogram,
-    StftParams,
-    stft_spectrogram,
-    to_image,
-)
+from .spectrogram import StftParams, stft_spectrogram, to_image
 from .svm import LabeledSet, SvmModel, decision_values, predict_batch, train
 from .synth import (
     ExperimentConfig,

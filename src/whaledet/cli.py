@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -26,7 +27,6 @@ from .audio import (
 )
 from .cnn import NetworkError, load_network, tiny_vgg
 from .features import (
-    FEATURE_MODES,
     FeatureError,
     featurize_clips,
     load_features,
@@ -48,6 +48,8 @@ from .synth import (
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
+
+FEATURE_MODES = ("cnn", "spectrogram")
 
 
 class UsageError(Exception):
@@ -128,8 +130,10 @@ class PipelineConfig:
 
 
 # settings that size, count or weigh something; 0 or less has no meaning
-_POSITIVE_SETTINGS = ("hop", "window_s", "image_size", "n_iter", "sample_rate",
-                      "c_param", "svm_max_iter", "bank_clip_s")
+_POSITIVE_SETTINGS = ("segment_len", "hop", "fft_size", "window_s",
+                      "image_size", "n_iter", "n_train", "n_test",
+                      "sample_rate", "c_param", "svm_max_iter", "n_units",
+                      "bank_clip_s", "bank_clips_per_type")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -162,24 +166,13 @@ def _write_run_config(out_dir: Path, cfg: PipelineConfig, command: str) -> None:
             fh.write(line + "\n")
 
 
-def _get_network(cfg: PipelineConfig):
-    if cfg.features != "cnn":
-        return None
-    if cfg.network:
-        return load_network(cfg.network)
-    return tiny_vgg(seed=0, in_size=cfg.image_size)
-
-
 def _make_featurizer(cfg: PipelineConfig):
-    network = _get_network(cfg)
-    params = cfg.stft_params()
-
-    def featurize(clips):
-        return featurize_clips(clips, mode=cfg.features, network=network,
-                               params=params, width=cfg.image_size,
-                               height=cfg.image_size)
-
-    return featurize
+    network = None
+    if cfg.features == "cnn":
+        network = (load_network(cfg.network) if cfg.network
+                   else tiny_vgg(seed=0, in_size=cfg.image_size))
+    return functools.partial(featurize_clips, network=network,
+                             params=cfg.stft_params(), size=cfg.image_size)
 
 
 def _load_units(cfg: PipelineConfig, units_dir: str | None):

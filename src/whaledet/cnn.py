@@ -35,8 +35,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectrogram import GrayImage
-
 MAGIC = b"CNNW"
 FORMAT_VERSION = 1
 
@@ -198,9 +196,8 @@ def forward(net: Network, x: np.ndarray, upto: int | None = None) -> np.ndarray:
     return x
 
 
-def prepare_input(net: Network, image: GrayImage | np.ndarray) -> np.ndarray:
+def prepare_input(net: Network, pixels: np.ndarray) -> np.ndarray:
     """uint8 image -> [0,1] float stack replicated to the input channel count."""
-    pixels = image.pixels if isinstance(image, GrayImage) else np.asarray(image)
     if pixels.shape != (net.in_height, net.in_width):
         raise ShapeChainError(
             f"image shape {pixels.shape} does not match network input "
@@ -213,14 +210,14 @@ def prepare_input(net: Network, image: GrayImage | np.ndarray) -> np.ndarray:
     return stack
 
 
-def extract_code(net: Network, image: GrayImage | np.ndarray) -> np.ndarray:
+def extract_code(net: Network, pixels: np.ndarray) -> np.ndarray:
     """Feature code: activations of the designated fc layer.
 
     Layers after code_layer_index (top classifier and softmax) are skipped.
     """
     if not isinstance(net.layers[net.code_layer_index], FcLayer):
         raise NetworkError("code_layer_index must point at an fc layer")
-    return forward(net, prepare_input(net, image), upto=net.code_layer_index)
+    return forward(net, prepare_input(net, pixels), upto=net.code_layer_index)
 
 
 def validate_network(net: Network) -> None:
@@ -400,6 +397,11 @@ def tiny_vgg(seed: int = 0, in_size: int = 256, code_dim: int = 64) -> Network:
     bias, randomly-initialized ReLU units die in droves and the code loses a
     third of its dimensions.
     """
+    # side after each layer: the stride-2 convs round up, the pools down
+    s = ((in_size + 1) // 2 // 2 + 1) // 2 // 2
+    if s < 1:
+        raise ShapeChainError(
+            f"tiny-vgg needs images of 11 px or more, got {in_size}")
     rng = np.random.default_rng(seed)
 
     def he(shape, fan_in):
@@ -408,7 +410,6 @@ def tiny_vgg(seed: int = 0, in_size: int = 256, code_dim: int = 64) -> Network:
 
     conv1 = ConvLayer(he((8, 1, 7, 7), 49), np.zeros(8), stride=2, pad=3)
     conv2 = ConvLayer(he((16, 8, 5, 5), 8 * 25), np.zeros(16), stride=2, pad=2)
-    s = in_size // 16  # after two stride-2 convs and two pools
     flat = 16 * s * s
     fc_bias = np.float32(0.1)
     fc1 = FcLayer(he((128, flat), flat), np.full(128, fc_bias, dtype=np.float64))

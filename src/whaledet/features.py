@@ -1,8 +1,8 @@
 """Window -> spectrogram -> image -> feature pipeline and feature-file IO.
 
-Two feature modes: "cnn" (code vector of a loaded network, the default) and
-"spectrogram" (the raw flattened 256x256 image), so both representations can
-be compared on identical datasets.
+A row is the code vector of a network (CNN features) or, with no network,
+the flattened gray image (spectrogram features), so both representations
+can be compared on identical datasets.
 
 Feature file format: u32 n_samples, u32 dim (little-endian), then n*dim
 float32 values row-major.  Labels travel in a sibling CSV (sample_index,label).
@@ -22,8 +22,6 @@ from .cnn import Network, extract_code
 from .parallel import map_chunks
 from .spectrogram import StftParams, stft_spectrogram, to_image
 
-FEATURE_MODES = ("cnn", "spectrogram")
-
 
 class FeatureError(Exception):
     pass
@@ -31,18 +29,14 @@ class FeatureError(Exception):
 
 def featurize_clips(
     clips: list[AudioClip],
-    mode: str = "cnn",
     network: Network | None = None,
     params: StftParams | None = None,
-    width: int = 256,
-    height: int = 256,
+    size: int = 256,
 ) -> np.ndarray:
-    """Feature matrix (n_clips x dim) for a list of analysis windows,
-    computed on the threads map_chunks chooses."""
-    if mode not in FEATURE_MODES:
-        raise FeatureError(f"unknown feature mode: {mode}")
-    if mode == "cnn" and network is None:
-        raise FeatureError("cnn feature mode requires a network")
+    """Feature matrix (n_clips x dim) for a list of analysis windows, each
+    rendered as a size x size image, computed on the threads map_chunks
+    chooses.  Rows are the network's codes, or with no network the image's
+    pixels scaled to [0, 1]."""
     if not clips:
         raise FeatureError("no clips to featurize")
     # Rows go straight into one matrix.  Kept as separate arrays until the
@@ -50,16 +44,16 @@ def featurize_clips(
     # threads, the peak memory of featurizing 160 windows to 65 536-d rows
     # then rose by 50 MB in half the runs.
     X = np.empty((len(clips),
-                  network.code_dim if mode == "cnn" else width * height))
+                  size * size if network is None else network.code_dim))
 
     def fill(indices) -> None:
         for i in indices:
             image = to_image(stft_spectrogram(clips[i], params),
-                             width=width, height=height)
-            if mode == "cnn":
-                X[i] = extract_code(network, image)
+                             width=size, height=size)
+            if network is None:
+                X[i] = image.astype(np.float64).ravel() / 255.0
             else:
-                X[i] = image.pixels.astype(np.float64).ravel() / 255.0
+                X[i] = extract_code(network, image)
 
     map_chunks(fill, len(clips))
     return X

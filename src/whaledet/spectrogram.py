@@ -45,41 +45,6 @@ class StftParams:
         return np.hamming(self.segment_len)
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """dB grid [n_freq_bins x n_frames]; bin 0 is DC (lowest frequency)."""
-
-    values_db: np.ndarray
-    freq_resolution_hz: float
-    params: StftParams
-
-    @property
-    def n_freq_bins(self) -> int:
-        return self.values_db.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values_db.shape[1]
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """Grayscale image as a uint8 grid [height x width], row 0 at the top."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.uint8))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-
 def stft_magnitude(clip: AudioClip, params: StftParams | None = None) -> np.ndarray:
     """Linear one-sided STFT magnitudes |X|, shape [fft_size//2+1, n_frames]."""
     params = params or StftParams()
@@ -94,16 +59,11 @@ def stft_magnitude(clip: AudioClip, params: StftParams | None = None) -> np.ndar
     return np.abs(spec).T
 
 
-def stft_spectrogram(clip: AudioClip, params: StftParams | None = None) -> Spectrogram:
-    """dB spectrogram of one analysis window."""
-    params = params or StftParams()
+def stft_spectrogram(clip: AudioClip, params: StftParams | None = None) -> np.ndarray:
+    """dB spectrogram of one analysis window: the float64 grid
+    [n_freq_bins x n_frames], bin 0 at DC (lowest frequency)."""
     mag = stft_magnitude(clip, params)
-    values_db = 10.0 * np.log10(np.maximum(mag, DB_FLOOR))
-    return Spectrogram(
-        values_db=values_db,
-        freq_resolution_hz=clip.sample_rate_hz / params.fft_size,
-        params=params,
-    )
+    return 10.0 * np.log10(np.maximum(mag, DB_FLOOR))
 
 
 def gray_scale(values_db: np.ndarray) -> np.ndarray:
@@ -146,13 +106,14 @@ def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
     return _blend(img[y0], img[y1], wy, width)
 
 
-def to_image(spec: Spectrogram, width: int = 256, height: int = 256) -> GrayImage:
-    """Render the dB grid as a uint8 image, low frequency at the bottom row.
+def to_image(values_db: np.ndarray, width: int = 256,
+             height: int = 256) -> np.ndarray:
+    """Render a dB grid as a uint8 image [height x width], row 0 at the top
+    and low frequency at the bottom row.
 
     Same pixels as resize_bilinear(gray_scale(grid)[::-1], ...), but only the
     rows the resize reads are gray-scaled.
     """
-    values_db = spec.values_db
     if values_db.size == 0:
         raise SpectrogramError("empty spectrogram")
     flipped = values_db[::-1, :]  # bin 0 goes to the bottom
@@ -160,4 +121,4 @@ def to_image(spec: Spectrogram, width: int = 256, height: int = 256) -> GrayImag
     y0, y1, wy = _bilinear_taps(flipped.shape[0], height)
     resized = _blend(_gray_levels(flipped[y0], vmin, vmax),
                      _gray_levels(flipped[y1], vmin, vmax), wy, width)
-    return GrayImage(np.clip(np.round(resized), 0, 255).astype(np.uint8))
+    return np.clip(np.round(resized), 0, 255).astype(np.uint8)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .audio import (
     AudioClip,
@@ -277,6 +276,10 @@ def synth_noise(
     rain: broadband white noise; traffic: slowly FM'd harmonic stack;
     chorus: dense superposition of synthetic whale units.
     """
+    # imported here, not at module level: scipy.signal takes about a second
+    # to import and no other command needs it
+    from scipy import signal as sps
+
     if noise_type not in NOISE_TYPES:
         raise SynthError(f"unknown noise type: {noise_type}")
     rng = np.random.default_rng([NOISE_TYPES.index(noise_type), seed])

@@ -161,8 +161,7 @@ def test_criterion_5_end_to_end_desk_scale():
     params = StftParams()
 
     def feat(clips):
-        return featurize_clips(clips, mode="cnn", network=net, params=params,
-                               width=256, height=256)
+        return featurize_clips(clips, network=net, params=params, size=256)
 
     res = snr_sweep(units, bank, feat,
                     experiments=("E1", "E2", "E3", "E4", "E5", "E6"),

@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +388,15 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("synth-config", "bank_clip_s=nan\n", 1),
     ("synth-config", "n_pos=-1\n", 1),
     ("sweep-config", "n_pos=12\nn_neg=-1\n", 1),
+    ("featurize-config", "segment_len=0\n", 1),
+    ("featurize-config", "segment_len=-3\n", 1),
+    ("featurize-config", "fft_size=0\n", 1),
+    ("synth-config", "n_units=0\n", 1),
+    ("synth-config", "n_units=-2\n", 1),
+    ("synth-config", "bank_clips_per_type=0\n", 1),
+    ("evaluate-config", "n_train=0\nn_test=10\n", 1),
+    ("evaluate-config", "n_train=20\nn_test=-1\n", 1),
+    ("sweep-config", "n_train=-4\n", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
@@ -397,7 +409,10 @@ def test_featurize_matches_golden_digests(tmp_path, features):
         "sweep-sample-rate-zero", "sweep-c-inf", "sweep-max-iter-zero",
         "synth-snr-nan", "sweep-snr-nan", "synth-snr-inf",
         "synth-snr-minus-inf", "synth-bank-clip-nan", "synth-n-pos-negative",
-        "sweep-n-neg-negative"])
+        "sweep-n-neg-negative", "segment-len-zero", "segment-len-negative",
+        "fft-size-zero", "synth-n-units-zero", "synth-n-units-negative",
+        "synth-bank-clips-zero", "evaluate-n-train-zero",
+        "evaluate-n-test-negative", "sweep-n-train-negative"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
@@ -441,6 +456,38 @@ def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
         pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
     assert rc == code
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("size, code", [(8, 2), (13, 0), (30, 0)])
+def test_builtin_network_takes_images_of_11_px_or_more(tmp_path, capsys,
+                                                       size, code):
+    # 13 and 30 px leave a 1x1 and a 2x2 map before the first fc layer;
+    # below 11 px the map collapses to nothing
+    wav = tmp_path / "clip.wav"
+    wavfile.write(str(wav), 8000, np.ones(16000, dtype=np.float32))
+    feat = tmp_path / "clip.feat"
+    try:
+        rc = main(["featurize", "--config",
+                   _cfg(tmp_path, [f"image_size={size}"]), "--in", str(wav),
+                   "--features", "cnn", "--out", str(feat)])
+    except Exception as exc:  # the contract is an exit code, never a traceback
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert rc == code
+    if code:
+        assert "11 px" in capsys.readouterr().err
+        assert not feat.exists()
+    else:
+        assert load_features(feat).shape == (1, 64)
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # only noise synthesis filters with scipy.signal, which takes about a
+    # second to import; predict and evaluate should not pay for it
+    src = Path(__file__).parent.parent / "src"
+    probe = ("import sys, whaledet.cli; "
+             "sys.exit('scipy.signal' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_featurize_rejects_nan_wav(tmp_path, capsys):

@@ -26,7 +26,6 @@ from whaledet.cnn import (
     tiny_vgg,
     validate_network,
 )
-from whaledet.spectrogram import GrayImage
 
 
 def _rand_conv(rng, out_ch, in_ch, k, stride=1, pad=0):
@@ -170,7 +169,7 @@ def test_random_networks_match_naive_forward():
 def test_relu_activations_nonnegative():
     rng = np.random.default_rng(9)
     net = tiny_vgg(in_size=32)
-    img = GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8))
+    img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
     code = extract_code(net, img)
     assert (code >= 0).all()
     assert len(code) == net.code_dim == 64
@@ -182,15 +181,14 @@ def test_extract_code_identity_network():
     fc = FcLayer(np.eye(16), np.zeros(16))
     net = Network(layers=[conv, fc], code_layer_index=1,
                   in_channels=1, in_height=4, in_width=4)
-    img = GrayImage(np.full((4, 4), 128, dtype=np.uint8))
+    img = np.full((4, 4), 128, dtype=np.uint8)
     code = extract_code(net, img)
     assert np.allclose(code, 128 / 255.0)
 
 
 def test_extract_code_deterministic():
     net = tiny_vgg(in_size=32)
-    img = GrayImage(np.random.default_rng(10).integers(0, 256, (32, 32),
-                                                       dtype=np.uint8))
+    img = np.random.default_rng(10).integers(0, 256, (32, 32), dtype=np.uint8)
     assert np.array_equal(extract_code(net, img), extract_code(net, img))
 
 
@@ -202,10 +200,9 @@ def test_extract_code_skips_top_layers():
                   code_layer_index=vgg.code_layer_index, in_channels=1,
                   in_height=32, in_width=32)
     validate_network(net)
-    img = GrayImage(np.random.default_rng(11).integers(0, 256, (32, 32),
-                                                       dtype=np.uint8))
+    img = np.random.default_rng(11).integers(0, 256, (32, 32), dtype=np.uint8)
     code = extract_code(net, img)
-    x = img.pixels[None] / 255.0
+    x = img[None] / 255.0
     assert np.array_equal(code, forward(net, x, upto=net.code_layer_index))
     assert np.array_equal(code, extract_code(vgg, img))
     assert forward(net, x).shape == (2,)  # the head runs only in forward
@@ -216,7 +213,7 @@ def test_golden_code_vector(tmp_path):
     # tests/data/README for the generation recipe)
     net = tiny_vgg(seed=0, in_size=32)
     rng = np.random.default_rng(1234)
-    img = GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8))
+    img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
     from pathlib import Path
     golden_path = Path(__file__).parent / "data" / "tiny_vgg_golden_code.csv"
     golden = np.loadtxt(golden_path, delimiter=",")
@@ -232,8 +229,7 @@ def test_network_file_round_trip(tmp_path):
     loaded = load_network(p1)
     save_network(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    img = GrayImage(np.random.default_rng(12).integers(0, 256, (32, 32),
-                                                       dtype=np.uint8))
+    img = np.random.default_rng(12).integers(0, 256, (32, 32), dtype=np.uint8)
     assert np.array_equal(extract_code(net, img), extract_code(loaded, img))
 
 

@@ -125,8 +125,7 @@ _PARAMS = StftParams(segment_len=512, hop=256, fft_size=512)
 
 
 def _spect_featurizer(clips):
-    return featurize_clips(clips, mode="spectrogram", params=_PARAMS,
-                           width=32, height=32)
+    return featurize_clips(clips, params=_PARAMS, size=32)
 
 
 @pytest.fixture(scope="module")
