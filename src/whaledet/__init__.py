@@ -21,7 +21,6 @@ from .evaluate import (
     MonteCarloResult,
     confusion,
     run_monte_carlo,
-    snr_sweep,
 )
 from .features import featurize_clips
 from .spectrogram import StftParams, stft_spectrogram, to_image

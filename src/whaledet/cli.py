@@ -37,6 +37,7 @@ from .features import (
 from .spectrogram import SpectrogramError, StftParams
 from .svm import LabeledSet, SvmError
 from .synth import (
+    EXPERIMENT_NOISE_TYPES,
     ExperimentConfig,
     SynthError,
     build_experiment,
@@ -85,14 +86,18 @@ class PipelineConfig:
                           fft_size=self.fft_size)
 
     def experiment_list(self) -> list[str]:
-        return [e.strip() for e in self.experiments.split(",") if e.strip()]
+        ids = [e.strip() for e in self.experiments.split(",") if e.strip()]
+        if not ids or not set(ids) <= EXPERIMENT_NOISE_TYPES.keys():
+            raise UsageError(f"experiments expects comma-separated ids "
+                             f"E1..E6, got '{self.experiments}'")
+        return ids
 
     def snr_list(self) -> list[float]:
         try:
             snrs = [float(s) for s in self.snr_values.split(",") if s.strip()]
         except ValueError:
             snrs = [math.nan]  # reported with the non-finite values below
-        if not all(map(math.isfinite, snrs)):
+        if not snrs or not all(map(math.isfinite, snrs)):
             raise UsageError(
                 f"snr_values expects comma-separated finite numbers, "
                 f"got '{self.snr_values}'")
@@ -152,7 +157,7 @@ def _load_config(args) -> PipelineConfig:
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
             raise UsageError(f"{key} must be finite and > 0, got {value}")
-    for key in ("n_pos", "n_neg"):  # a cell may hold no samples of a class
+    for key in ("n_pos", "n_neg", "seed"):  # 0 is a valid count and seed
         if getattr(cfg, key) < 0:
             raise UsageError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     return cfg
@@ -175,20 +180,37 @@ def _make_featurizer(cfg: PipelineConfig):
                              params=cfg.stft_params(), size=cfg.image_size)
 
 
+def _require_sample_rate(cfg: PipelineConfig, clips, source) -> None:
+    """Raise SampleRateMismatchError for a clip not at cfg.sample_rate."""
+    rates = {c.sample_rate_hz for c in clips} - {cfg.sample_rate}
+    if rates:
+        raise SampleRateMismatchError(
+            f"{source}: audio at {', '.join(f'{r:g}' for r in sorted(rates))} Hz, "
+            f"config sample_rate is {cfg.sample_rate:g} Hz"
+        )
+
+
 def _load_units(cfg: PipelineConfig, units_dir: str | None):
     if units_dir:
         paths = sorted(Path(units_dir).glob("*.wav"))
         if not paths:
             raise SynthError(f"no unit WAV files found in {units_dir}")
-        return [load_wav(p) for p in paths]
+        units = [load_wav(p) for p in paths]
+        _require_sample_rate(cfg, units, units_dir)
+        return units
     return synth_unit_pool(n_units=cfg.n_units, sample_rate=cfg.sample_rate,
                            seed=cfg.seed)
 
 
 def _load_bank(cfg: PipelineConfig, bank_dir: str | None):
-    window_len = int(round(cfg.window_s * cfg.sample_rate))
     if bank_dir:
-        return load_noise_bank(bank_dir, window_len=window_len)
+        bank = load_noise_bank(bank_dir)
+        _require_sample_rate(
+            cfg, [c for clips in bank.entries.values() for c in clips],
+            bank_dir)
+        # the rate is checked first, so the window below is in its samples
+        bank.require(bank.entries, int(round(cfg.window_s * cfg.sample_rate)))
+        return bank
     return synth_noise_bank(duration_s=cfg.bank_clip_s,
                             clips_per_type=cfg.bank_clips_per_type,
                             sample_rate=cfg.sample_rate, seed=cfg.seed)
@@ -222,12 +244,7 @@ def cmd_featurize(args) -> int:
         clip = load_wav(in_dir)
         clips = list(frame_windows(clip, cfg.window_s))
         labels = np.full(len(clips), -1, dtype=np.int64)
-    rates = {c.sample_rate_hz for c in clips} - {cfg.sample_rate}
-    if rates:
-        raise SampleRateMismatchError(
-            f"{in_dir}: audio at {', '.join(f'{r:g}' for r in sorted(rates))} Hz, "
-            f"config sample_rate is {cfg.sample_rate:g} Hz"
-        )
+    _require_sample_rate(cfg, clips, in_dir)
     X = _make_featurizer(cfg)(clips)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -283,20 +300,29 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    experiments, snrs = cfg.experiment_list(), cfg.snr_list()
     if cfg.n_train + cfg.n_test > cfg.n_pos + cfg.n_neg:
         raise UsageError(
             f"n_train + n_test ({cfg.n_train} + {cfg.n_test}) exceeds the "
             f"n_pos + n_neg ({cfg.n_pos} + {cfg.n_neg}) samples of each cell")
     units = _load_units(cfg, args.units)
     bank = _load_bank(cfg, args.bank)
-    cells = ev.snr_sweep(
-        units, bank, _make_featurizer(cfg),
-        experiments=cfg.experiment_list(), snr_values=cfg.snr_list(),
-        n_pos=cfg.n_pos, n_neg=cfg.n_neg, n_iter=cfg.n_iter,
-        n_train=cfg.n_train, n_test=cfg.n_test, seed=cfg.seed,
-        window_s=cfg.window_s, c_param=cfg.c_param,
-        svm_max_iter=cfg.svm_max_iter,
-    )
+    featurize = _make_featurizer(cfg)
+    cells = []
+    for ei, exp in enumerate(experiments):
+        for si, snr_db in enumerate(snrs):
+            seed = int(np.random.SeedSequence([cfg.seed, ei, si])
+                       .generate_state(1)[0])
+            samples = build_experiment(
+                units, bank, ExperimentConfig(exp, snr_db, seed),
+                cfg.n_pos, cfg.n_neg, window_s=cfg.window_s)
+            pool = LabeledSet(featurize([s.audio for s in samples]),
+                              np.array([s.label for s in samples]))
+            result = ev.run_monte_carlo(
+                pool, n_iter=cfg.n_iter, n_train=cfg.n_train,
+                n_test=cfg.n_test, seed=seed, c_param=cfg.c_param,
+                max_iter=cfg.svm_max_iter)
+            cells.append(replace(result, experiment_id=exp, snr_db=snr_db))
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "sweep")
     ev.write_sweep_csv(cells, out_dir / "sweep_results.csv")

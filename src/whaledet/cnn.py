@@ -386,11 +386,11 @@ def save_network(net: Network, path) -> None:
                 raise NetworkError(f"cannot serialize layer {layer!r}")
 
 
-def tiny_vgg(seed: int = 0, in_size: int = 256, code_dim: int = 64) -> Network:
+def tiny_vgg(seed: int = 0, in_size: int = 256) -> Network:
     """Small seed-fixed random network for deterministic desk-scale runs.
 
-    Two conv/pool pairs followed by two fc layers; the second is the code
-    layer and the last.  It has no classifier head: extract_code stops at
+    Two conv/pool pairs followed by two fc layers; the second is the 64-d
+    code layer and the last.  It has no classifier head: extract_code stops at
     the code layer, and the linear SVM classifies the code.  Weights are
     He-initialized float32 so the network round-trips through the CNNW file
     format bit-exactly.  The fc layers get a small positive bias: with zero
@@ -413,8 +413,7 @@ def tiny_vgg(seed: int = 0, in_size: int = 256, code_dim: int = 64) -> Network:
     flat = 16 * s * s
     fc_bias = np.float32(0.1)
     fc1 = FcLayer(he((128, flat), flat), np.full(128, fc_bias, dtype=np.float64))
-    fc2 = FcLayer(he((code_dim, 128), 128),
-                  np.full(code_dim, fc_bias, dtype=np.float64))
+    fc2 = FcLayer(he((64, 128), 128), np.full(64, fc_bias, dtype=np.float64))
     net = Network(
         layers=[conv1, MaxPoolLayer(), conv2, MaxPoolLayer(), fc1, fc2],
         code_layer_index=5,

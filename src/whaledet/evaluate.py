@@ -1,5 +1,5 @@
 """Monte-Carlo train/test evaluation: confusion matrices, recognition and
-false-alarm rates, and SNR sweeps over the E1-E6 experiment grid.
+false-alarm rates, and the CSV rows of the E1-E6 x SNR sweep grid.
 
 Each iteration draws a disjoint train/test split, trains a linear SVM on
 standardized features and scores the held-out samples.  Iterations use
@@ -10,14 +10,13 @@ execution agree.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import svm
 from .parallel import map_chunks
 from .svm import LabeledSet
-from .synth import ExperimentConfig, NoiseBank, build_experiment
 
 
 class EvalError(Exception):
@@ -189,51 +188,6 @@ def run_monte_carlo(
     bytes_per_thread = (2 * n_train + n_test) * dim * 8  # float64
     chunks = map_chunks(run_folds, n_iter, bytes_per_thread)
     return MonteCarloResult(matrices=[m for chunk in chunks for m in chunk])
-
-
-DEFAULT_SNR_VALUES = (-10.0, -5.0, 0.0, 5.0, 10.0)
-
-
-def snr_sweep(
-    units,
-    bank: NoiseBank,
-    featurize_fn,
-    experiments=("E1", "E2", "E3", "E4", "E5", "E6"),
-    snr_values=DEFAULT_SNR_VALUES,
-    n_pos: int = 150,
-    n_neg: int = 150,
-    n_iter: int = 100,
-    n_train: int = 300,
-    n_test: int = 200,
-    seed: int = 0,
-    window_s: float = 2.0,
-    c_param: float = 1.0,
-    svm_max_iter: int = 1000,
-) -> list[MonteCarloResult]:
-    """Full (experiment x SNR) evaluation grid, one result per cell.
-
-    featurize_fn maps a list of AudioClips to a feature matrix, so CNN codes
-    and raw spectrogram images plug into the same harness.
-    """
-    cells = []
-    for ei, exp in enumerate(experiments):
-        for si, snr_db in enumerate(snr_values):
-            cell_seed = int(
-                np.random.SeedSequence([seed, ei, si]).generate_state(1)[0]
-            )
-            cfg = ExperimentConfig(experiment_id=exp, snr_db=float(snr_db),
-                                   seed=cell_seed)
-            samples = build_experiment(units, bank, cfg, n_pos, n_neg,
-                                       window_s=window_s)
-            X = featurize_fn([s.audio for s in samples])
-            pool = LabeledSet(X, np.array([s.label for s in samples]))
-            result = run_monte_carlo(
-                pool, n_iter=n_iter, n_train=n_train, n_test=n_test,
-                seed=cell_seed, c_param=c_param, max_iter=svm_max_iter,
-            )
-            cells.append(replace(result, experiment_id=exp,
-                                 snr_db=float(snr_db)))
-    return cells
 
 
 SWEEP_CSV_FIELDS = (

@@ -385,7 +385,7 @@ MANIFEST_FIELDS = (
 )
 
 
-def load_noise_bank(root, window_len: int | None = None) -> NoiseBank:
+def load_noise_bank(root) -> NoiseBank:
     """Read bank/<noise_type>/*.wav into a NoiseBank."""
     root = Path(root)
     if not root.is_dir():
@@ -395,10 +395,7 @@ def load_noise_bank(root, window_len: int | None = None) -> NoiseBank:
         clips = [load_wav(p) for p in sorted(nt_dir.glob("*.wav"))]
         if clips:
             entries[nt_dir.name] = clips
-    bank = NoiseBank(entries=entries)
-    if window_len is not None:
-        bank.require(tuple(entries), window_len)
-    return bank
+    return NoiseBank(entries=entries)
 
 
 def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:

@@ -24,13 +24,10 @@ from whaledet.cnn import (
     forward,
     maxpool_forward,
     softmax,
-    tiny_vgg,
 )
-from whaledet.evaluate import snr_sweep
-from whaledet.features import featurize_clips
 from whaledet.spectrogram import StftParams, stft_magnitude
 from whaledet.svm import LabeledSet, predict_batch, train
-from whaledet.synth import mix_at_snr, synth_noise_bank, synth_unit_pool
+from whaledet.synth import mix_at_snr
 
 SR = 44100.0
 
@@ -152,24 +149,19 @@ def test_criterion_4_svm_separable():
             f"duals in [0,C]={boxed}, {elapsed:.1f}s (<5s)")
 
 
-def test_criterion_5_end_to_end_desk_scale():
+def test_criterion_5_end_to_end_desk_scale(tmp_path):
     t0 = time.perf_counter()
-    units = synth_unit_pool(n_units=30, sample_rate=SR, seed=0)
-    bank = synth_noise_bank(duration_s=20.0, clips_per_type=2,
-                            sample_rate=SR, seed=0)
-    net = tiny_vgg(seed=0, in_size=256)
-    params = StftParams()
-
-    def feat(clips):
-        return featurize_clips(clips, network=net, params=params, size=256)
-
-    res = snr_sweep(units, bank, feat,
-                    experiments=("E1", "E2", "E3", "E4", "E5", "E6"),
-                    snr_values=(-10.0, 0.0, 10.0),
-                    n_pos=80, n_neg=80, n_iter=20, n_train=100, n_test=60,
-                    seed=0)
-    cr = {(c.experiment_id, c.snr_db): c.mean_correct_recognition
-          for c in res}
+    # the defaults: 30 units, a 20-s bank with 2 clips per type, E1-E6,
+    # the seed-0 tiny-vgg on 256-px images of the default STFT
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--snr", "-10", "--snr", "0", "--snr", "10",
+                 "--n-pos", "80", "--n-neg", "80", "--n-iter", "20",
+                 "--n-train", "100", "--n-test", "60", "--seed", "0",
+                 "--out", str(out)]) == 0
+    with open(out / "sweep_results.csv", newline="") as fh:
+        cr = {(row["experiment_id"], float(row["snr_db"])):
+              float(row["mean_correct_recognition"])
+              for row in csv.DictReader(fh)}
     a = all(cr[("E1", s)] >= 0.9 for s in (-10.0, 0.0, 10.0))
     b = all(cr[(e, 10.0)] >= cr[(e, -10.0)]
             for e in ("E2", "E3", "E4", "E5", "E6"))

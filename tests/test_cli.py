@@ -397,6 +397,12 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("evaluate-config", "n_train=0\nn_test=10\n", 1),
     ("evaluate-config", "n_train=20\nn_test=-1\n", 1),
     ("sweep-config", "n_train=-4\n", 1),
+    ("synth-config", "seed=-1\n", 1),
+    ("train-config", "seed=-1\n", 1),
+    ("evaluate-config", "seed=-1\nn_train=20\nn_test=10\n", 1),
+    ("sweep-config", "experiments=\n", 1),
+    ("sweep-config", "experiments=E1,E9\n", 1),
+    ("sweep-config", "snr_values=,\n", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
@@ -412,7 +418,10 @@ def test_featurize_matches_golden_digests(tmp_path, features):
         "sweep-n-neg-negative", "segment-len-zero", "segment-len-negative",
         "fft-size-zero", "synth-n-units-zero", "synth-n-units-negative",
         "synth-bank-clips-zero", "evaluate-n-train-zero",
-        "evaluate-n-test-negative", "sweep-n-train-negative"])
+        "evaluate-n-test-negative", "sweep-n-train-negative",
+        "synth-seed-negative", "train-seed-negative",
+        "evaluate-seed-negative", "sweep-no-experiments",
+        "sweep-unknown-experiment", "sweep-no-snr"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
@@ -549,3 +558,32 @@ def test_featurize_rejects_sample_rate_mismatch(tmp_path, capsys,
         err = capsys.readouterr().err
         assert "sample_rate" in err and str(source) in err
         assert not feat.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+@pytest.mark.parametrize("source", ["units", "bank"])
+def test_units_and_bank_at_another_rate_exit_2(tmp_path, capsys, command,
+                                               source):
+    # 8 kHz WAVs under the default 44.1 kHz config; the 12-s noise clip
+    # outlasts a 2-s window at either rate, so only the rate is wrong
+    rng = np.random.default_rng(0)
+    units, bank = tmp_path / "units", tmp_path / "bank"
+    units.mkdir()
+    (bank / "clean").mkdir(parents=True)
+    for k in range(2):
+        wavfile.write(str(units / f"u{k}.wav"), 8000,
+                      (0.1 * rng.standard_normal(8000)).astype(np.float32))
+    wavfile.write(str(bank / "clean" / "n0.wav"), 8000,
+                  (0.1 * rng.standard_normal(12 * 8000)).astype(np.float32))
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("\n".join(["image_size=32", "features=spectrogram",
+                              *SMALL_SWEEP]) + "\n")
+    out = tmp_path / "out"
+    sources = ["--bank", str(bank)]
+    if source == "units":
+        sources += ["--units", str(units)]
+    rc = main([command, "--config", str(cfg), *sources, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sample_rate" in err and str(tmp_path / source) in err
+    assert not (out / "run_config.txt").exists()

@@ -20,8 +20,10 @@ from whaledet.features import load_features, save_features, save_labels
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True)
 
-# values that no setting accepts; integer keys take 0 and negatives
-BAD = {"window_s": [0.0, -1.0, math.nan, math.inf], "features": ["mfcc"]}
+# values that no setting accepts; integer keys take 0 and negatives, but
+# 0 is a seed
+BAD = {"window_s": [0.0, -1.0, math.nan, math.inf], "features": ["mfcc"],
+       "seed": [-1, -3]}
 
 
 @st.composite
@@ -43,6 +45,7 @@ def settings_with_few_bad(draw):
         n_iter=draw(st.integers(1, 4)),
         n_train=draw(st.integers(1, 40)),
         n_test=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 1000)),
     )
     for key in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
         values[key] = draw(st.sampled_from(BAD.get(key, [0, -1, -3])))

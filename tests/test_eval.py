@@ -1,20 +1,17 @@
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from whaledet.cli import main
 from whaledet.evaluate import (
-    ConfusionMatrix,
     EvalError,
     column_sum_of_squares,
     confusion,
     run_monte_carlo,
-    snr_sweep,
-    write_confusion_csv,
-    write_sweep_csv,
 )
-from whaledet.features import featurize_clips
-from whaledet.spectrogram import StftParams
 from whaledet.svm import LabeledSet
-from whaledet.synth import synth_noise_bank, synth_unit_pool
 
 
 def test_confusion_perfect():
@@ -120,46 +117,50 @@ def test_monte_carlo_pool_too_small():
         run_monte_carlo(_oracle_pool(n=50), n_iter=1, n_train=40, n_test=20)
 
 
-SR = 8000.0
-_PARAMS = StftParams(segment_len=512, hop=256, fft_size=512)
-
-
-def _spect_featurizer(clips):
-    return featurize_clips(clips, params=_PARAMS, size=32)
-
-
 @pytest.fixture(scope="module")
-def small_sweep():
-    units = synth_unit_pool(n_units=6, sample_rate=SR, seed=0)
-    bank = synth_noise_bank(duration_s=6.0, clips_per_type=1,
-                            sample_rate=SR, seed=0)
-    return snr_sweep(
-        units, bank, _spect_featurizer,
-        experiments=("E1", "E2"), snr_values=(-10.0, 10.0),
-        n_pos=20, n_neg=20, n_iter=4, n_train=24, n_test=12,
-        seed=5, window_s=2.0, svm_max_iter=200,
-    )
+def small_sweep(tmp_path_factory):
+    """The output directory of a 2 x 2 spectrogram sweep at 8 kHz."""
+    root = tmp_path_factory.mktemp("small_sweep")
+    cfg = root / "run.cfg"
+    cfg.write_text("\n".join([
+        "sample_rate=8000", "segment_len=512", "hop=256", "fft_size=512",
+        "image_size=32", "features=spectrogram", "n_units=6",
+        "bank_clip_s=6.0", "bank_clips_per_type=1", "experiments=E1,E2",
+        "snr_values=-10,10", "n_pos=20", "n_neg=20", "n_iter=4",
+        "n_train=24", "n_test=12", "seed=5", "window_s=2.0",
+        "svm_max_iter=200",
+    ]) + "\n")
+    out = root / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def _cells(out):
+    """The rows of sweep_results.csv, numeric columns as floats."""
+    with open(out / "sweep_results.csv", newline="") as fh:
+        return [SimpleNamespace(**{k: v if k == "experiment_id" else float(v)
+                                   for k, v in row.items()})
+                for row in csv.DictReader(fh)]
 
 
 def test_sweep_grid_size(small_sweep):
-    assert len(small_sweep) == 4
-    ids = {(c.experiment_id, c.snr_db) for c in small_sweep}
+    cells = _cells(small_sweep)
+    assert len(cells) == 4
+    ids = {(c.experiment_id, c.snr_db) for c in cells}
     assert ids == {("E1", -10.0), ("E1", 10.0), ("E2", -10.0), ("E2", 10.0)}
 
 
 def test_sweep_rates_in_range(small_sweep):
-    for c in small_sweep:
+    for c in _cells(small_sweep):
         assert 0.0 <= c.mean_correct_recognition <= 1.0
         assert 0.0 <= c.mean_false_alarm <= 1.0
         assert c.std_correct_recognition >= 0.0
 
 
-def test_sweep_csv_outputs(tmp_path, small_sweep):
-    out = tmp_path / "sweep.csv"
-    write_sweep_csv(small_sweep, out)
-    lines = out.read_text().strip().splitlines()
+def test_sweep_csv_outputs(small_sweep):
+    sweep = small_sweep / "sweep_results.csv"
+    lines = sweep.read_text().strip().splitlines()
     assert len(lines) == 1 + 4  # header + |experiments| * |snr_values|
     assert lines[0].startswith("experiment_id,snr_db,n_iter")
-    conf = tmp_path / "conf.csv"
-    write_confusion_csv(small_sweep, conf)
+    conf = small_sweep / "confusion_matrices.csv"
     assert len(conf.read_text().strip().splitlines()) == 5
