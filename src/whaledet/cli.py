@@ -3,7 +3,8 @@
 Every command is deterministic given its config and seed; synth and sweep
 write a run_config.txt manifest embedding the exact configuration, which
 --config reads back.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure or
+out of memory.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class PipelineConfig:
         if not ids or not set(ids) <= EXPERIMENT_NOISE_TYPES.keys():
             raise UsageError(f"experiments expects comma-separated ids "
                              f"E1..E6, got '{self.experiments}'")
+        if len(set(ids)) != len(ids):
+            raise UsageError(f"experiments repeats an id: '{self.experiments}'")
         return ids
 
     def snr_list(self) -> list[float]:
@@ -101,6 +104,8 @@ class PipelineConfig:
             raise UsageError(
                 f"snr_values expects comma-separated finite numbers, "
                 f"got '{self.snr_values}'")
+        if len(set(snrs)) != len(snrs):  # 0 and 0.0 are one grid cell
+            raise UsageError(f"snr_values repeats a value: '{self.snr_values}'")
         return snrs
 
     def to_lines(self) -> list[str]:
@@ -245,7 +250,8 @@ def cmd_featurize(args) -> int:
         clips = list(frame_windows(clip, cfg.window_s))
         labels = np.full(len(clips), -1, dtype=np.int64)
     _require_sample_rate(cfg, clips, in_dir)
-    X = _make_featurizer(cfg)(clips)
+    # float32 rows, as the file holds them: save_features copies nothing
+    X = _make_featurizer(cfg)(clips, dtype="<f4")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_features(out, X)
@@ -417,6 +423,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_NUMERIC
 
 

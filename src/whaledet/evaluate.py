@@ -164,9 +164,11 @@ def run_monte_carlo(
         for it in iterations:
             rng = np.random.default_rng([seed, it])
             train_idx, test_idx = _draw_split(labels, n_train, n_test, rng)
-            # mode="clip" writes straight into out (the indices are valid)
-            np.take(features, train_idx, axis=0, out=x_train, mode="clip")
-            np.take(features, test_idx, axis=0, out=x_test, mode="clip")
+            # row by row, so a float32 pool is widened into the buffers
+            # (exactly) without a float64 copy of the pool
+            for buf, idx in ((x_train, train_idx), (x_test, test_idx)):
+                for r, j in enumerate(idx.tolist()):
+                    buf[r] = features[j]
             # standardize in place, with the elementwise steps np.std takes
             mu = x_train.mean(axis=0)
             x_train -= mu

@@ -32,11 +32,13 @@ def featurize_clips(
     network: Network | None = None,
     params: StftParams | None = None,
     size: int = 256,
+    dtype=np.float64,
 ) -> np.ndarray:
-    """Feature matrix (n_clips x dim) for a list of analysis windows, each
-    rendered as a size x size image, computed on the threads map_chunks
-    chooses.  Rows are the network's codes, or with no network the image's
-    pixels scaled to [0, 1]."""
+    """Feature matrix (n_clips x dim) of the given dtype for a list of
+    analysis windows, each rendered as a size x size image, computed on the
+    threads map_chunks chooses.  Rows are the network's codes, or with no
+    network the image's pixels scaled to [0, 1], computed in float64 and
+    rounded once into the matrix."""
     if not clips:
         raise FeatureError("no clips to featurize")
     # Rows go straight into one matrix.  Kept as separate arrays until the
@@ -44,7 +46,8 @@ def featurize_clips(
     # threads, the peak memory of featurizing 160 windows to 65 536-d rows
     # then rose by 50 MB in half the runs.
     X = np.empty((len(clips),
-                  size * size if network is None else network.code_dim))
+                  size * size if network is None else network.code_dim),
+                 dtype=dtype)
 
     def fill(indices) -> None:
         for i in indices:
@@ -60,7 +63,8 @@ def featurize_clips(
 
 
 def save_features(path, X: np.ndarray) -> None:
-    # one little-endian row-major float32 copy, written from its buffer
+    # written from the buffer of X when it is little-endian row-major
+    # float32 already, else from one such copy
     X = np.ascontiguousarray(X, dtype="<f4")
     if X.ndim != 2:
         raise FeatureError("feature matrix must be 2-D")
@@ -79,8 +83,10 @@ def load_features(path) -> np.ndarray:
         if 4 * n * dim > os.fstat(fh.fileno()).st_size - fh.tell():
             raise FeatureError(
                 f"{path}: truncated feature payload ({n}x{dim} claimed)")
-        buf = fh.read(4 * n * dim)
-    return np.frombuffer(buf, dtype="<f4").reshape(n, dim).astype(np.float64)
+        X = np.empty((n, dim), dtype="<f4")
+        if fh.readinto(X) != X.nbytes:
+            raise FeatureError(f"{path}: short read of the feature payload")
+    return X
 
 
 def save_labels(path, labels) -> None:

@@ -38,7 +38,11 @@ class LabeledSet:
     labels: np.ndarray  # (n_samples,) in {0, 1}
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        # float32 rows (a feature file's) stay float32 until a fold or
+        # svm.train widens them; anything else becomes float64
+        self.features = np.asarray(self.features)
+        if self.features.dtype not in (np.float32, np.float64):
+            self.features = self.features.astype(np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise SvmError("features must be a 2-D matrix")
@@ -87,9 +91,7 @@ def train(
     the Gram matrix), so a coordinate step costs O(n) instead of O(d); the
     real weights Xa.T @ (alpha * y) are formed once at the end.
     """
-    X = data.features
-    if not np.isfinite(X).all():
-        raise NonFiniteFeatureError("features contain NaN or infinity")
+    X = np.asarray(data.features, dtype=np.float64)
     if not 0 < c_param < math.inf:
         raise SvmError(f"c_param must be finite and > 0, got {c_param}")
     labels = data.labels
@@ -100,19 +102,31 @@ def train(
         raise SvmError(f"labels must be in {{0, 1}}, got {classes}")
 
     n, d = X.shape
-    y = np.where(labels == 1, 1.0, -1.0)
     gram = n <= d + 1
-    if gram:  # Xa's products, formed from X without copying it
-        q_diag = np.einsum("ij,ij->i", X, X) + 1.0
+    # A NaN or infinite value makes its row's squared norm NaN or infinite,
+    # so the n norms stand in for a scan of the whole matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gram:  # Xa's products, formed from X without copying it
+            q_diag = np.einsum("ij,ij->i", X, X) + 1.0
+        else:  # augmented constant feature = bias
+            Z = np.hstack([X, np.ones((n, 1))])
+            q_diag = np.einsum("ij,ij->i", Z, Z)
+    if not np.isfinite(q_diag).all():
+        raise NonFiniteFeatureError(
+            "features contain NaN or infinity, or a row whose squared norm "
+            "overflows")
+    if gram:
         K = X @ X.T
         K += 1.0
         lam, vec = np.linalg.eigh(K)
         Z = vec * np.sqrt(np.maximum(lam, 0.0))
-    else:
-        Z = np.hstack([X, np.ones((n, 1))])  # augmented constant feature = bias
-        q_diag = np.einsum("ij,ij->i", Z, Z)
-    alpha = np.zeros(n)
     w = np.zeros(Z.shape[1])  # weights in the coordinates of Z's columns
+    # The loop runs on Python floats and row views: the same IEEE steps as
+    # on numpy scalars, at a fraction of their overhead.
+    rows = list(Z)
+    y = np.where(labels == 1, 1.0, -1.0).tolist()
+    q = q_diag.tolist()
+    alpha = [0.0] * n
     rng = np.random.default_rng(seed)
     history: list[float] = []
     epochs = 0
@@ -121,26 +135,28 @@ def train(
     for epoch in range(max_iter):
         epochs = epoch + 1
         max_violation = 0.0
-        for i in rng.permutation(n):
-            g = y[i] * (w @ Z[i]) - 1.0
-            if alpha[i] == 0.0:
+        for i in rng.permutation(n).tolist():
+            g = y[i] * float(w @ rows[i]) - 1.0
+            a = alpha[i]
+            if a == 0.0:
                 pg = min(g, 0.0)
-            elif alpha[i] == c_param:
+            elif a == c_param:
                 pg = max(g, 0.0)
             else:
                 pg = g
             max_violation = max(max_violation, abs(pg))
-            if pg != 0.0 and q_diag[i] > 0.0:
-                new_alpha = min(max(alpha[i] - g / q_diag[i], 0.0), c_param)
-                if new_alpha != alpha[i]:
-                    w += (new_alpha - alpha[i]) * y[i] * Z[i]
+            if pg != 0.0 and q[i] > 0.0:
+                new_alpha = min(max(a - g / q[i], 0.0), c_param)
+                if new_alpha != a:
+                    w += (new_alpha - a) * y[i] * rows[i]
                     alpha[i] = new_alpha
-        history.append(float(alpha.sum() - 0.5 * (w @ w)))
+        history.append(float(np.sum(alpha) - 0.5 * (w @ w)))
         if max_violation < tol:
             break
 
+    alpha = np.array(alpha)
     if gram:
-        v = alpha * y
+        v = alpha * np.array(y)
         w = np.append(X.T @ v, v.sum())
     return SvmModel(
         weights=w[:d],
@@ -161,9 +177,14 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"feature matrix of shape {X.shape} does not match model dim {model.dim}"
         )
-    if not np.isfinite(X).all():
-        raise NonFiniteFeatureError("features contain NaN or infinity")
-    return X @ model.weights + model.bias
+    # a NaN or infinite feature makes its margin NaN or infinite (even
+    # times a zero weight), so the n margins stand in for a scan of X
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = X @ model.weights + model.bias
+    if not np.isfinite(values).all():
+        raise NonFiniteFeatureError(
+            "features contain NaN or infinity, or a margin that overflows")
+    return values
 
 
 def predict_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:

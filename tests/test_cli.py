@@ -5,15 +5,23 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from whaledet import evaluate as ev
 from whaledet import parallel
 from whaledet.cli import PipelineConfig, main
 from whaledet.cnn import FcLayer, save_network, tiny_vgg
-from whaledet.features import load_features, load_labels, save_features, save_labels
+from whaledet.features import (
+    FeatureError,
+    load_features,
+    load_labels,
+    save_features,
+    save_labels,
+)
 from whaledet.svm import SvmModel, save_model
 
 # small geometry keeps CLI runs fast while exercising every code path
@@ -319,6 +327,25 @@ def test_save_features_writes_row_major(tmp_path):
     save_features(feat, X)
     assert feat.read_bytes()[8:] == X.astype("<f4").tobytes(order="C")
     assert np.array_equal(load_features(feat), X)
+    X = np.random.default_rng(3).standard_normal((7, 33))  # rounds in float32
+    save_features(feat, X)
+    loaded = load_features(feat)
+    assert loaded.dtype == np.float32 and loaded.shape == X.shape
+    assert loaded.tobytes() == X.astype("<f4").tobytes()
+
+
+def test_load_features_short_read_is_a_feature_error(tmp_path, monkeypatch):
+    feat = tmp_path / "t.feat"
+    save_features(feat, np.ones((4, 5)))
+    feat.write_bytes(feat.read_bytes()[:-4])
+    # a file that shrinks after its size was taken: the size check passes
+    # and the read comes up short
+    real_fstat = os.fstat
+    monkeypatch.setattr(
+        os, "fstat",
+        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 4))
+    with pytest.raises(FeatureError, match="short read"):
+        load_features(feat)
 
 
 def _golden_wav(path):
@@ -403,6 +430,9 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("sweep-config", "experiments=\n", 1),
     ("sweep-config", "experiments=E1,E9\n", 1),
     ("sweep-config", "snr_values=,\n", 1),
+    ("sweep-config", "experiments=E1,E1\n", 1),
+    ("sweep-config", "snr_values=0,0.0\n", 1),
+    ("sweep-snr", "0 0.0", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
@@ -421,7 +451,9 @@ def test_featurize_matches_golden_digests(tmp_path, features):
         "evaluate-n-test-negative", "sweep-n-train-negative",
         "synth-seed-negative", "train-seed-negative",
         "evaluate-seed-negative", "sweep-no-experiments",
-        "sweep-unknown-experiment", "sweep-no-snr"])
+        "sweep-unknown-experiment", "sweep-no-snr",
+        "sweep-repeated-experiment", "sweep-repeated-snr-value",
+        "sweep-repeated-snr-flag"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
@@ -429,8 +461,9 @@ def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     wavfile.write(str(ds / "s0.wav"), 8000, np.ones(16000, dtype=np.float32))
     bad = ds / "manifest.csv" if kind == "manifest" else tmp_path / "bad.txt"
     snr = []
-    if kind.endswith("-snr"):  # text is the --snr value, on a sound config
-        kind, snr, text = kind[:-4] + "-config", [f"--snr={text}"], ""
+    if kind.endswith("-snr"):  # text is the --snr values, on a sound config
+        kind, snr, text = (kind[:-4] + "-config",
+                           [f"--snr={v}" for v in text.split()], "")
     if kind in ("featurize-config", "synth-config", "sweep-config"):
         # the fast geometry and a one-cell grid that fits it, then the bad
         # value
@@ -541,6 +574,63 @@ def test_predict_rejects_non_finite_features(tmp_path, capsys):
     assert rc == 2
     assert "NaN" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["train", "evaluate-train-row",
+                                     "evaluate-test-row", "predict"])
+def test_non_finite_feature_exits_2(tmp_path, capsys, command, value):
+    feat, labels = _oracle_feature_files(tmp_path)
+    X = load_features(feat)
+    # the one fold of evaluate --n-iter 1 --seed 0 trains on train_idx and
+    # scores test_idx
+    train_idx, test_idx = ev._draw_split(load_labels(labels), 30, 20,
+                                         np.random.default_rng([0, 0]))
+    row = test_idx[0] if command == "evaluate-test-row" else train_idx[0]
+    X[row, 4] = value
+    save_features(feat, X)
+    model_path = tmp_path / "model.txt"
+    save_model(SvmModel(np.ones(6), 0.0, 1.0), model_path)
+    out = tmp_path / "out.csv"
+    argv = {
+        "train": ["train", "--features", str(feat), "--labels", str(labels),
+                  "--out", str(out)],
+        "evaluate": ["evaluate", "--features", str(feat), "--labels",
+                     str(labels), "--n-iter", "1", "--n-train", "30",
+                     "--n-test", "20", "--seed", "0", "--out", str(out)],
+        "predict": ["predict", "--model", str(model_path), "--features",
+                    str(feat), "--out", str(out)],
+    }[command.split("-")[0]]
+    assert main(argv) == 2
+    assert "NaN or infinity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="RLIMIT_AS caps allocations on Linux only")
+def test_out_of_memory_exits_3_with_a_named_error(tmp_path):
+    # At image_size=8192 the built-in network's fc1 holds 128 x 8192**2 / 16
+    # float64 weights, 4 GiB; a 2 GiB address-space limit, set by the child
+    # process on itself, turns that request into a MemoryError.
+    wav = tmp_path / "golden.wav"
+    _golden_wav(wav)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("image_size=8192\n")
+    feat = tmp_path / "big.feat"
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from whaledet.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "featurize", "--config", str(cfg),
+         "--in", str(wav), "--features", "cnn", "--out", str(feat)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("out of memory: ")
+    assert "Traceback" not in proc.stderr
+    assert not feat.exists()
 
 
 def test_featurize_rejects_sample_rate_mismatch(tmp_path, capsys,

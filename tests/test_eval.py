@@ -103,6 +103,21 @@ def test_monte_carlo_leaves_pool_unchanged():
     assert pool.features.tobytes() == before
 
 
+@pytest.mark.parametrize("d", [6, 50], ids=["primal", "gram"])
+def test_monte_carlo_float32_pool_scores_as_its_float64_values(d):
+    # a feature file's float32 pool is widened fold by fold; the folds see
+    # exactly the values of a float64 copy of the pool
+    rng = np.random.default_rng(d)
+    labels = np.array([0, 1] * 40)
+    X32 = (rng.standard_normal((80, d)) + 0.3 * labels[:, None]).astype(
+        np.float32)
+    kwargs = dict(n_iter=4, n_train=30, n_test=20, seed=5, max_iter=50)
+    a = run_monte_carlo(LabeledSet(X32, labels), **kwargs)
+    b = run_monte_carlo(LabeledSet(X32.astype(np.float64), labels), **kwargs)
+    assert a.matrices == b.matrices
+    assert len({m.tp for m in a.matrices}) > 1  # the folds differ
+
+
 @pytest.mark.parametrize("n", [1, 2, 37])
 @pytest.mark.parametrize("d", [1, 999])
 def test_column_sum_of_squares_matches_numpy_bytewise(n, d):

@@ -147,7 +147,7 @@ def test_feature_reader(scratch, data):
     except FeatureError:
         return
     n, dim = struct.unpack("<II", data[:8])
-    assert X.dtype == np.float64 and X.shape == (n, dim)
+    assert X.dtype == np.float32 and X.shape == (n, dim)
 
 
 def _network_files():

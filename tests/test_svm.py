@@ -88,6 +88,50 @@ def test_training_errors_are_distinct():
         train(LabeledSet(bad, np.array([0, 1, 0, 1])))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d", [2, 40], ids=["primal", "gram"])
+def test_non_finite_feature_is_rejected(value, d):
+    X = np.ones((10, d))
+    X[7, d - 1] = value
+    with pytest.raises(NonFiniteFeatureError, match="NaN or infinity"):
+        train(LabeledSet(X, np.array([0, 1] * 5)))
+
+
+@pytest.mark.parametrize("d", [2, 40], ids=["primal", "gram"])
+def test_row_whose_squared_norm_overflows_is_rejected(d):
+    # every value is finite, but 1e200 squared is not: the Gram path used
+    # to train to NaN weights on it, the primal path to ignore the row
+    X = np.ones((10, d))
+    X[::2] *= -1.0
+    X[3, 0] = 1e200
+    with pytest.raises(NonFiniteFeatureError, match="overflows"):
+        train(LabeledSet(X, np.array([0, 1] * 5)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_is_rejected_even_at_a_zero_weight(value):
+    model = SvmModel(np.array([1.0, 0.0]), 0.0, 1.0)
+    X = np.ones((3, 2))
+    X[1, 1] = value  # the margin sees it only as value * 0.0
+    with pytest.raises(NonFiniteFeatureError):
+        decision_values(model, X)
+
+
+def test_float32_features_train_as_their_float64_values():
+    rng = np.random.default_rng(8)
+    X32 = rng.standard_normal((30, 5)).astype(np.float32)
+    labels = np.array([0, 1] * 15)
+    data = LabeledSet(X32, labels)
+    assert data.features.dtype == np.float32  # kept, not widened
+    assert LabeledSet([[1, 2], [3, 4]], [0, 1]).features.dtype == np.float64
+    m32 = train(data, seed=2)
+    m64 = train(LabeledSet(X32.astype(np.float64), labels), seed=2)
+    assert m32.weights.tobytes() == m64.weights.tobytes()
+    assert m32.bias == m64.bias
+    assert (decision_values(m32, X32).tobytes()
+            == decision_values(m64, X32.astype(np.float64)).tobytes())
+
+
 @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
 def test_c_param_must_be_finite_and_positive(c):
     with pytest.raises(SvmError, match="c_param must be finite and > 0"):
@@ -201,3 +245,25 @@ def test_convergence_diagnostics():
     assert capped.n_epochs == 2
     assert not capped.converged
     assert capped.final_violation >= 1e-4
+
+
+@pytest.mark.parametrize("n, d, seed, c_param, max_iter", [
+    (40, 2, 0, 1.0, 1000),
+    (40, 2, 1, 0.01, 1000),  # duals pinned at the upper bound C
+    (60, 5, 2, 1.0, 1000),
+    (25, 23, 3, 10.0, 1000),  # n = d + 2, the smallest primal fold
+    (80, 12, 4, 1.0, 3),  # stopped at the epoch cap
+], ids=["n40-d2", "n40-d2-small-c", "n60-d5", "n25-d23", "capped"])
+def test_primal_path_is_byte_equal_to_oracle(n, d, seed, c_param, max_iter):
+    rng = np.random.default_rng(100 + seed)
+    labels = np.array([0, 1] * (n // 2) + [1] * (n % 2))
+    X = rng.standard_normal((n, d)) + 0.7 * labels[:, None]
+    X[:3] = X[3:6]  # repeated rows
+    model = train(LabeledSet(X, labels), c_param=c_param, max_iter=max_iter,
+                  seed=seed)
+    weights, bias, alpha, epochs = naive_dual_cd(
+        X, labels, c_param=c_param, max_iter=max_iter, seed=seed)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert repr(model.bias) == repr(bias)
+    assert model.dual_coef.tobytes() == alpha.tobytes()
+    assert model.n_epochs == epochs
