@@ -17,14 +17,13 @@ from .cnn import (
     tiny_vgg,
 )
 from .evaluate import (
-    ConfusionMatrix,
     MonteCarloResult,
     confusion,
     run_monte_carlo,
 )
 from .features import featurize_clips
 from .spectrogram import StftParams, stft_spectrogram, to_image
-from .svm import LabeledSet, SvmModel, decision_values, predict_batch, train
+from .svm import SvmModel, decision_values, predict_batch, train
 from .synth import (
     ExperimentConfig,
     MixedSample,

@@ -36,7 +36,7 @@ from .features import (
     save_labels,
 )
 from .spectrogram import SpectrogramError, StftParams
-from .svm import LabeledSet, SvmError
+from .svm import SvmError
 from .synth import (
     EXPERIMENT_NOISE_TYPES,
     ExperimentConfig,
@@ -104,8 +104,12 @@ class PipelineConfig:
             raise UsageError(
                 f"snr_values expects comma-separated finite numbers, "
                 f"got '{self.snr_values}'")
-        if len(set(snrs)) != len(snrs):  # 0 and 0.0 are one grid cell
-            raise UsageError(f"snr_values repeats a value: '{self.snr_values}'")
+        # SNRs that print alike to 0.1 dB (0 and 0.0, -0.04 and 0.04, 0.05
+        # and 0.15) would be one key of the sweep CSVs
+        printed = {float(f"{s:.1f}") for s in snrs}
+        if len(printed) != len(snrs):
+            raise UsageError(f"snr_values repeats a value to 0.1 dB: "
+                             f"'{self.snr_values}'")
         return snrs
 
     def to_lines(self) -> list[str]:
@@ -264,7 +268,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     X = load_features(args.feature_file)
     y = load_labels(args.labels)
-    model = svm_mod.train(LabeledSet(X, y), c_param=cfg.c_param,
+    model = svm_mod.train(X, y, c_param=cfg.c_param,
                           max_iter=cfg.svm_max_iter, seed=cfg.seed)
     svm_mod.save_model(model, args.out)
     preds = svm_mod.predict_batch(model, X)
@@ -291,16 +295,15 @@ def cmd_evaluate(args) -> int:
     X = load_features(args.feature_file)
     y = load_labels(args.labels)
     result = ev.run_monte_carlo(
-        LabeledSet(X, y), n_iter=cfg.n_iter, n_train=cfg.n_train,
-        n_test=cfg.n_test, seed=cfg.seed, c_param=cfg.c_param,
-        max_iter=cfg.svm_max_iter,
+        X, y, n_iter=cfg.n_iter, n_train=cfg.n_train, n_test=cfg.n_test,
+        seed=cfg.seed, c_param=cfg.c_param, max_iter=cfg.svm_max_iter,
     )
     with open(args.out, "w") as fh:
         fh.write(",".join(ev.SWEEP_CSV_FIELDS) + "\n")
-        # one pool has no SNR; " -" keeps the row's established "-, -" prefix
-        fh.write(",".join(ev.sweep_row(result, snr_text=" -")) + "\n")
-    print(f"correct_recognition={result.mean_correct_recognition:.4f} "
-          f"false_alarm={result.mean_false_alarm:.4f} -> {args.out}")
+        fh.write(",".join(ev.sweep_row(result)) + "\n")
+    cr, fa = result.rates()
+    print(f"correct_recognition={cr.mean():.4f} "
+          f"false_alarm={fa.mean():.4f} -> {args.out}")
     return EXIT_OK
 
 
@@ -322,12 +325,11 @@ def cmd_sweep(args) -> int:
             samples = build_experiment(
                 units, bank, ExperimentConfig(exp, snr_db, seed),
                 cfg.n_pos, cfg.n_neg, window_s=cfg.window_s)
-            pool = LabeledSet(featurize([s.audio for s in samples]),
-                              np.array([s.label for s in samples]))
             result = ev.run_monte_carlo(
-                pool, n_iter=cfg.n_iter, n_train=cfg.n_train,
-                n_test=cfg.n_test, seed=seed, c_param=cfg.c_param,
-                max_iter=cfg.svm_max_iter)
+                featurize([s.audio for s in samples]),
+                [s.label for s in samples], n_iter=cfg.n_iter,
+                n_train=cfg.n_train, n_test=cfg.n_test, seed=seed,
+                c_param=cfg.c_param, max_iter=cfg.svm_max_iter)
             cells.append(replace(result, experiment_id=exp, snr_db=snr_db))
     out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "sweep")

@@ -1,4 +1,4 @@
-"""Monte-Carlo train/test evaluation: confusion matrices, recognition and
+"""Monte-Carlo train/test evaluation: confusion counts, recognition and
 false-alarm rates, and the CSV rows of the E1-E6 x SNR sweep grid.
 
 Each iteration draws a disjoint train/test split, trains a linear SVM on
@@ -10,94 +10,51 @@ execution agree.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import svm
 from .parallel import map_chunks
-from .svm import LabeledSet
 
 
 class EvalError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """2x2 counts with whale as the positive class."""
-
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def correct_recognition(self) -> float:
-        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
-
-    @property
-    def false_alarm(self) -> float:
-        return self.fp / (self.fp + self.tn) if self.fp + self.tn else 0.0
+COUNTS = ("tp", "fp", "fn", "tn")  # whale is the positive class
 
 
-def confusion(predictions, truth) -> ConfusionMatrix:
+def confusion(predictions, truth) -> np.ndarray:
+    """The COUNTS of predictions against the truth labels, as 4 ints."""
     predictions = np.asarray(predictions, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if len(predictions) != len(truth):
         raise EvalError(
             f"{len(predictions)} predictions vs {len(truth)} truth labels"
         )
-    return ConfusionMatrix(
-        tp=int(np.sum((truth == 1) & (predictions == 1))),
-        fp=int(np.sum((truth == 0) & (predictions == 1))),
-        fn=int(np.sum((truth == 1) & (predictions == 0))),
-        tn=int(np.sum((truth == 0) & (predictions == 0))),
-    )
-
-
-COUNTS = ("tp", "fp", "fn", "tn")
+    yes, no = predictions == 1, predictions == 0
+    pos, neg = truth == 1, truth == 0
+    return np.array([np.sum(yes & pos), np.sum(yes & neg),
+                     np.sum(no & pos), np.sum(no & neg)])
 
 
 @dataclass
 class MonteCarloResult:
-    """One pool's fold matrices and their statistics; a sweep tags each
-    cell with its experiment and SNR, a single pool keeps the defaults."""
+    """One pool's fold counts; a sweep tags each cell with its experiment
+    and SNR, a single pool keeps the defaults."""
 
-    matrices: list[ConfusionMatrix] = field(default_factory=list)
+    counts: np.ndarray  # (n_iter, 4) ints: each fold's COUNTS
     experiment_id: str = "-"
     snr_db: float = float("nan")
 
-    @property
-    def n_iter(self) -> int:
-        return len(self.matrices)
-
-    def _rates(self, attr: str) -> np.ndarray:
-        return np.array([getattr(m, attr) for m in self.matrices])
-
-    @property
-    def mean_correct_recognition(self) -> float:
-        return float(self._rates("correct_recognition").mean())
-
-    @property
-    def std_correct_recognition(self) -> float:
-        return float(self._rates("correct_recognition").std())
-
-    @property
-    def mean_false_alarm(self) -> float:
-        return float(self._rates("false_alarm").mean())
-
-    @property
-    def std_false_alarm(self) -> float:
-        return float(self._rates("false_alarm").std())
-
-    def mean_count(self, k: str) -> float:
-        """Mean over the folds of one of the COUNTS."""
-        return float(np.mean([getattr(m, k) for m in self.matrices]))
+    def rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each fold's correct-recognition rate tp / (tp + fn) and
+        false-alarm rate fp / (fp + tn); a fold's test half holds both
+        classes, so neither divides by zero."""
+        tp, fp, fn, tn = self.counts.T
+        return tp / (tp + fn), fp / (fp + tn)
 
 
 def _draw_split(labels: np.ndarray, n_train: int, n_test: int, rng):
@@ -131,7 +88,8 @@ def column_sum_of_squares(x: np.ndarray) -> np.ndarray:
 
 
 def run_monte_carlo(
-    pool: LabeledSet,
+    features: np.ndarray,
+    labels: np.ndarray,
     n_iter: int = 100,
     n_train: int = 300,
     n_test: int = 200,
@@ -139,28 +97,36 @@ def run_monte_carlo(
     c_param: float = 1.0,
     max_iter: int = 1000,
 ) -> MonteCarloResult:
-    """Repeated random resampling: train an SVM, score the held-out test set.
+    """Repeated random resampling of the rows of features (n_samples x dim)
+    and their {0, 1} labels: train an SVM, score the held-out test set.
 
     Each fold's features are centered and scaled by statistics computed
     from the training draw only.  The folds run on the threads map_chunks
     chooses, each with one pair of fold buffers that every fold of its
     chunk refills, and no more threads than half the available memory
-    holds; the matrices come back in fold order.
+    holds; each fold's counts land in its row of the result.
     """
-    features, labels = pool.features, pool.labels
-    if len(pool) < n_train + n_test:
+    # a float32 pool (a feature file's) stays float32: the folds widen it
+    features = np.asarray(features)
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise EvalError("features must be a 2-D matrix")
+    if len(features) != len(labels):
         raise EvalError(
-            f"pool of {len(pool)} samples too small for {n_train}+{n_test} split"
-        )
+            f"{len(features)} feature rows vs {len(labels)} labels")
+    if len(labels) < n_train + n_test:
+        raise EvalError(
+            f"pool of {len(labels)} samples too small for {n_train}+{n_test} "
+            "split")
     if min(n_train, n_test) < 2:
         raise EvalError(f"a {n_train}+{n_test} split cannot hold both classes "
                         "in both halves")
     dim = features.shape[1]
+    counts = np.empty((n_iter, len(COUNTS)), dtype=np.int64)
 
-    def run_folds(iterations: range) -> list[ConfusionMatrix]:
+    def run_folds(iterations) -> None:
         x_train = np.empty((n_train, dim))
         x_test = np.empty((n_test, dim))
-        matrices = []
         for it in iterations:
             rng = np.random.default_rng([seed, it])
             train_idx, test_idx = _draw_split(labels, n_train, n_test, rng)
@@ -177,19 +143,17 @@ def run_monte_carlo(
             x_train /= sd
             x_test -= mu
             x_test /= sd
-            model = svm.train(
-                LabeledSet(x_train, labels[train_idx]),
-                c_param=c_param, max_iter=max_iter, seed=int(it),
-            )
-            preds = svm.predict_batch(model, x_test)
-            matrices.append(confusion(preds, labels[test_idx]))
-        return matrices
+            model = svm.train(x_train, labels[train_idx], c_param=c_param,
+                              max_iter=max_iter, seed=int(it))
+            counts[it] = confusion(svm.predict_batch(model, x_test),
+                                   labels[test_idx])
 
-    # a thread holds its two buffers and, on the primal path, svm.train's
-    # augmented copy of x_train
-    bytes_per_thread = (2 * n_train + n_test) * dim * 8  # float64
-    chunks = map_chunks(run_folds, n_iter, bytes_per_thread)
-    return MonteCarloResult(matrices=[m for chunk in chunks for m in chunk])
+    # a fold thread allocates its two buffers and, in svm.train, the
+    # augmented copy of x_train (primal path) or the Gram matrix, its
+    # eigenvectors and their scaled copy (Gram path), all float64
+    work = 3 * n_train**2 if n_train <= dim + 1 else n_train * (dim + 1)
+    map_chunks(run_folds, n_iter, 8 * ((n_train + n_test) * dim + work))
+    return MonteCarloResult(counts)
 
 
 SWEEP_CSV_FIELDS = (
@@ -200,14 +164,16 @@ SWEEP_CSV_FIELDS = (
 )
 
 
-def sweep_row(c: MonteCarloResult, snr_text: str | None = None) -> list[str]:
-    """The SWEEP_CSV_FIELDS of one cell; snr_text replaces the SNR column."""
+def sweep_row(c: MonteCarloResult) -> list[str]:
+    """The SWEEP_CSV_FIELDS of one cell; a cell with no SNR (NaN) shows
+    " -" in its SNR column."""
+    cr, fa = c.rates()
     return [
-        c.experiment_id, f"{c.snr_db:.1f}" if snr_text is None else snr_text,
-        str(c.n_iter),
-        f"{c.mean_correct_recognition:.6f}", f"{c.std_correct_recognition:.6f}",
-        f"{c.mean_false_alarm:.6f}", f"{c.std_false_alarm:.6f}",
-        *(f"{c.mean_count(k):.3f}" for k in COUNTS),
+        c.experiment_id, " -" if math.isnan(c.snr_db) else f"{c.snr_db:.1f}",
+        str(len(c.counts)),
+        f"{cr.mean():.6f}", f"{cr.std():.6f}",
+        f"{fa.mean():.6f}", f"{fa.std():.6f}",
+        *(f"{m:.3f}" for m in c.counts.mean(axis=0)),
     ]
 
 

@@ -80,6 +80,8 @@ def load_features(path) -> np.ndarray:
         if len(header) != 8:
             raise FeatureError(f"{path}: truncated feature file header")
         n, dim = struct.unpack("<II", header)
+        if dim == 0:
+            raise FeatureError(f"{path}: feature rows of length 0")
         if 4 * n * dim > os.fstat(fh.fileno()).st_size - fh.tell():
             raise FeatureError(
                 f"{path}: truncated feature payload ({n}x{dim} claimed)")

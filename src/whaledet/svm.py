@@ -31,31 +31,6 @@ class NonFiniteFeatureError(SvmError):
 
 
 @dataclass
-class LabeledSet:
-    """Feature matrix with {0,1} labels."""
-
-    features: np.ndarray  # (n_samples, dim)
-    labels: np.ndarray  # (n_samples,) in {0, 1}
-
-    def __post_init__(self):
-        # float32 rows (a feature file's) stay float32 until a fold or
-        # svm.train widens them; anything else becomes float64
-        self.features = np.asarray(self.features)
-        if self.features.dtype not in (np.float32, np.float64):
-            self.features = self.features.astype(np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise SvmError("features must be a 2-D matrix")
-        if len(self.features) != len(self.labels):
-            raise SvmError(
-                f"{len(self.features)} feature rows vs {len(self.labels)} labels"
-            )
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-@dataclass
 class SvmModel:
     weights: np.ndarray
     bias: float
@@ -73,13 +48,15 @@ class SvmModel:
 
 
 def train(
-    data: LabeledSet,
+    X: np.ndarray,
+    labels: np.ndarray,
     c_param: float = 1.0,
     tol: float = 1e-4,
     max_iter: int = 1000,
     seed: int = 0,
 ) -> SvmModel:
-    """Fit an L2-regularized hinge-loss linear SVM by dual coordinate descent.
+    """Fit an L2-regularized hinge-loss linear SVM by dual coordinate descent
+    to the rows of X (n_samples x dim) and their {0, 1} labels.
 
     Coordinates are visited in a fresh random permutation each epoch;
     training stops when the largest projected-gradient violation over an
@@ -91,10 +68,14 @@ def train(
     the Gram matrix), so a coordinate step costs O(n) instead of O(d); the
     real weights Xa.T @ (alpha * y) are formed once at the end.
     """
-    X = np.asarray(data.features, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2:
+        raise SvmError("features must be a 2-D matrix")
+    if len(X) != len(labels):
+        raise SvmError(f"{len(X)} feature rows vs {len(labels)} labels")
     if not 0 < c_param < math.inf:
         raise SvmError(f"c_param must be finite and > 0, got {c_param}")
-    labels = data.labels
     classes = np.unique(labels)
     if len(classes) < 2:
         raise SingleClassError(f"training data contains a single class: {classes}")

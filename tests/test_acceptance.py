@@ -26,7 +26,7 @@ from whaledet.cnn import (
     softmax,
 )
 from whaledet.spectrogram import StftParams, stft_magnitude
-from whaledet.svm import LabeledSet, predict_batch, train
+from whaledet.svm import predict_batch, train
 from whaledet.synth import mix_at_snr
 
 SR = 44100.0
@@ -137,7 +137,7 @@ def test_criterion_4_svm_separable():
     X = np.clip(rng.standard_normal((n, 2)), -2.5, 2.5)
     X[labels == 1] += [6.0, 6.0]
     c_param = 1.0
-    model = train(LabeledSet(X, labels), c_param=c_param, seed=0)
+    model = train(X, labels, c_param=c_param, seed=0)
     acc = float(np.mean(predict_batch(model, X) == labels))
     monotone = bool((np.diff(model.objective_history) >= -1e-9).all())
     boxed = bool(((model.dual_coef >= -1e-12)

@@ -433,6 +433,9 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("sweep-config", "experiments=E1,E1\n", 1),
     ("sweep-config", "snr_values=0,0.0\n", 1),
     ("sweep-snr", "0 0.0", 1),
+    ("sweep-snr", "0.01 0.04", 1),
+    ("sweep-snr", "-0.04 0.04", 1),
+    ("sweep-config", "snr_values=0.05,0.15\n", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
@@ -453,7 +456,9 @@ def test_featurize_matches_golden_digests(tmp_path, features):
         "evaluate-seed-negative", "sweep-no-experiments",
         "sweep-unknown-experiment", "sweep-no-snr",
         "sweep-repeated-experiment", "sweep-repeated-snr-value",
-        "sweep-repeated-snr-flag"])
+        "sweep-repeated-snr-flag", "sweep-snr-flags-print-alike",
+        "sweep-snr-signed-zeros-print-alike",
+        "sweep-snr-values-print-alike"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
@@ -559,6 +564,49 @@ def test_featurize_rejects_non_finite_network(tmp_path, capsys, value):
     assert rc == 2
     assert "NaN or infinite" in capsys.readouterr().err
     assert not feat.exists()
+
+
+def _commands_on(feat, labels, model, out):
+    """argv of train, evaluate and predict on one feature file."""
+    return {
+        "train": ["train", "--features", str(feat), "--labels", str(labels),
+                  "--out", str(out)],
+        "evaluate": ["evaluate", "--features", str(feat), "--labels",
+                     str(labels), "--n-iter", "1", "--n-train", "20",
+                     "--n-test", "10", "--out", str(out)],
+        "predict": ["predict", "--model", str(model), "--features",
+                    str(feat), "--out", str(out)],
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_feature_rows_of_length_0_exit_2(tmp_path, capsys, command):
+    # a header of 40 rows of 0 values: once trained to a "0 1.0 0.0"
+    # model and scored at CR = FA = 0.5
+    feat = tmp_path / "empty.feat"
+    feat.write_bytes(struct.pack("<II", 40, 0))
+    labels = tmp_path / "empty.labels.csv"
+    save_labels(labels, [0, 1] * 20)
+    model = tmp_path / "model.txt"
+    model.write_text("0 1.0 0.0\n")
+    out = tmp_path / "out.csv"
+    argv = _commands_on(feat, labels, model, out)[command]
+    assert main(argv) == 2
+    assert "length 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_features_and_labels_of_different_lengths_exit_2(tmp_path, capsys,
+                                                         command):
+    feat, _ = _oracle_feature_files(tmp_path)  # 60 rows
+    labels = tmp_path / "short.labels.csv"
+    save_labels(labels, [1, 0] * 29)
+    out = tmp_path / "out.csv"
+    argv = _commands_on(feat, labels, tmp_path / "model.txt", out)[command]
+    assert main(argv) == 2
+    assert "60 feature rows vs 58 labels" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_rejects_non_finite_features(tmp_path, capsys):

@@ -15,7 +15,6 @@ from whaledet.parallel import (
     threads_within_memory,
     usable_cpus,
 )
-from whaledet.svm import LabeledSet
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -151,16 +150,22 @@ def test_threads_within_memory(monkeypatch):
 def test_monte_carlo_threads_keep_within_memory(monkeypatch, pools):
     rng = np.random.default_rng(0)
     labels = np.array([0, 1] * 30)
-    pool = LabeledSet(rng.standard_normal((60, 50)), labels)
-    thread_bytes = (2 * 30 + 20) * 50 * 8
+    X = rng.standard_normal((60, 200))
+    # a Gram-path fold (30 <= 200 + 1) holds its 30- and 20-row buffers and
+    # svm.train's three 30 x 30 matrices; no augmented 30 x 201 copy
+    thread_bytes = 8 * ((30 + 20) * 200 + 3 * 30 * 30)
 
     def run(memory):
         monkeypatch.setattr(parallel, "available_memory", lambda: memory)
-        return run_monte_carlo(pool, n_iter=4, n_train=30, n_test=20,
-                               seed=3).matrices
+        return run_monte_carlo(X, labels, n_iter=4, n_train=30, n_test=20,
+                               seed=3).counts
 
     set_jobs(monkeypatch, 4)
-    serial = run(3 * thread_bytes)  # room for one thread's buffers
+    serial = run(3 * thread_bytes)  # room for one thread
     assert pools == []
-    assert run(100 * thread_bytes) == serial
-    assert pools == [4]
+    # room for two threads, and for one at a budget that also counted an
+    # augmented copy, 8 * (2 * 30 + 20) * 200 bytes a thread
+    assert np.array_equal(run(4 * thread_bytes), serial)
+    assert pools == [2]
+    assert np.array_equal(run(100 * thread_bytes), serial)
+    assert pools == [2, 4]

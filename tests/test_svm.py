@@ -3,7 +3,6 @@ import pytest
 
 from whaledet.svm import (
     DimensionMismatchError,
-    LabeledSet,
     NonFiniteFeatureError,
     SingleClassError,
     SvmError,
@@ -24,34 +23,33 @@ def separable_2d(n_per_class=20, seed=0):
     neg = np.array([-2.0, 0.0]) + 0.01 * rng.standard_normal((n_per_class, 2))
     X = np.vstack([pos, neg])
     y = np.array([1] * n_per_class + [0] * n_per_class)
-    return LabeledSet(X, y)
+    return X, y
 
 
 def test_separable_data_perfect_training_accuracy():
-    data = separable_2d()
-    model = train(data)
-    preds = predict_batch(model, data.features)
-    assert (preds == data.labels).all()
+    X, y = separable_2d()
+    model = train(X, y)
+    preds = predict_batch(model, X)
+    assert (preds == y).all()
     # decision is driven by the x-coordinate: exhaustive margin check
-    for x, lab in zip(data.features, data.labels):
+    for x, lab in zip(X, y):
         assert predict_batch(model, x[None, :])[0] == (1 if x[0] > 0 else 0) == lab
 
 
 def test_degenerate_identical_features_mixed_labels():
     X = np.ones((10, 3))
     y = np.array([1, 1, 1, 1, 1, 1, 0, 0, 0, 0])
-    model = train(LabeledSet(X, y))
+    model = train(X, y)
     preds = predict_batch(model, X)
     acc = np.mean(preds == y)
     assert acc == pytest.approx(max(np.mean(y == 1), np.mean(y == 0)))
 
 
 def test_duplicated_dataset_same_decision_function():
-    data = separable_2d(seed=1)
-    doubled = LabeledSet(np.vstack([data.features, data.features]),
-                         np.concatenate([data.labels, data.labels]))
-    m1 = train(data, tol=1e-8, max_iter=10000)
-    m2 = train(doubled, tol=1e-8, max_iter=10000)
+    X, y = separable_2d(seed=1)
+    m1 = train(X, y, tol=1e-8, max_iter=10000)
+    m2 = train(np.vstack([X, X]), np.concatenate([y, y]), tol=1e-8,
+               max_iter=10000)
     grid = np.array([[x, y] for x in np.linspace(-3, 3, 7)
                      for y in np.linspace(-3, 3, 7)])
     v1 = decision_values(m1, grid)
@@ -60,9 +58,8 @@ def test_duplicated_dataset_same_decision_function():
 
 
 def test_dual_feasibility_and_objective_monotone():
-    data = separable_2d(seed=2)
     c = 1.0
-    model = train(data, c_param=c)
+    model = train(*separable_2d(seed=2), c_param=c)
     assert (model.dual_coef >= -1e-12).all()
     assert (model.dual_coef <= c + 1e-12).all()
     hist = model.objective_history
@@ -70,22 +67,22 @@ def test_dual_feasibility_and_objective_monotone():
 
 
 def test_permutation_seed_invariance_on_separable_data():
-    data = separable_2d(seed=3)
+    X, y = separable_2d(seed=3)
     accs = []
     for seed in range(3):
-        model = train(data, seed=seed)
-        accs.append(np.mean(predict_batch(model, data.features) == data.labels))
+        model = train(X, y, seed=seed)
+        accs.append(np.mean(predict_batch(model, X) == y))
     assert max(accs) - min(accs) < 0.01
 
 
 def test_training_errors_are_distinct():
     X = np.ones((4, 2))
     with pytest.raises(SingleClassError):
-        train(LabeledSet(X, np.array([1, 1, 1, 1])))
+        train(X, np.array([1, 1, 1, 1]))
     bad = X.copy()
     bad[0, 0] = np.nan
     with pytest.raises(NonFiniteFeatureError):
-        train(LabeledSet(bad, np.array([0, 1, 0, 1])))
+        train(bad, np.array([0, 1, 0, 1]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -94,7 +91,7 @@ def test_non_finite_feature_is_rejected(value, d):
     X = np.ones((10, d))
     X[7, d - 1] = value
     with pytest.raises(NonFiniteFeatureError, match="NaN or infinity"):
-        train(LabeledSet(X, np.array([0, 1] * 5)))
+        train(X, np.array([0, 1] * 5))
 
 
 @pytest.mark.parametrize("d", [2, 40], ids=["primal", "gram"])
@@ -105,7 +102,7 @@ def test_row_whose_squared_norm_overflows_is_rejected(d):
     X[::2] *= -1.0
     X[3, 0] = 1e200
     with pytest.raises(NonFiniteFeatureError, match="overflows"):
-        train(LabeledSet(X, np.array([0, 1] * 5)))
+        train(X, np.array([0, 1] * 5))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -121,21 +118,38 @@ def test_float32_features_train_as_their_float64_values():
     rng = np.random.default_rng(8)
     X32 = rng.standard_normal((30, 5)).astype(np.float32)
     labels = np.array([0, 1] * 15)
-    data = LabeledSet(X32, labels)
-    assert data.features.dtype == np.float32  # kept, not widened
-    assert LabeledSet([[1, 2], [3, 4]], [0, 1]).features.dtype == np.float64
-    m32 = train(data, seed=2)
-    m64 = train(LabeledSet(X32.astype(np.float64), labels), seed=2)
+    m32 = train(X32, labels, seed=2)
+    m64 = train(X32.astype(np.float64), labels, seed=2)
     assert m32.weights.tobytes() == m64.weights.tobytes()
     assert m32.bias == m64.bias
     assert (decision_values(m32, X32).tobytes()
             == decision_values(m64, X32.astype(np.float64)).tobytes())
 
 
+@pytest.mark.parametrize("d", [3, 40], ids=["primal", "gram"])
+def test_int_features_train_as_their_float64_values(tmp_path, d):
+    rng = np.random.default_rng(9)
+    labels = np.array([0, 1] * 10)
+    X = rng.integers(-5, 6, (20, d)) + 3 * labels[:, None]
+    assert X.dtype.kind == "i"
+    for name, features in (("int", X), ("float", X.astype(np.float64))):
+        save_model(train(features, labels, seed=4), tmp_path / name)
+    assert (tmp_path / "int").read_bytes() == (tmp_path / "float").read_bytes()
+
+
+@pytest.mark.parametrize("X, labels, message", [
+    (np.ones(4), [0, 1, 0, 1], "2-D"),
+    (np.ones((4, 2)), [0, 1, 0], "4 feature rows vs 3 labels"),
+], ids=["vector", "length-mismatch"])
+def test_train_checks_matrix_and_label_count(X, labels, message):
+    with pytest.raises(SvmError, match=message):
+        train(X, labels)
+
+
 @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
 def test_c_param_must_be_finite_and_positive(c):
     with pytest.raises(SvmError, match="c_param must be finite and > 0"):
-        train(separable_2d(), c_param=c)
+        train(*separable_2d(), c_param=c)
 
 
 def test_predict_trivial_cases():
@@ -188,8 +202,7 @@ def test_dim_mismatch():
 
 
 def test_model_file_round_trip(tmp_path):
-    data = separable_2d(seed=4)
-    model = train(data)
+    model = train(*separable_2d(seed=4))
     path = tmp_path / "model.txt"
     save_model(model, path)
     loaded = load_model(path)
@@ -221,7 +234,7 @@ def _gram_cases():
 @pytest.mark.parametrize("case", list(_gram_cases()))
 def test_gram_space_matches_w_space_oracle(case):
     X, labels = _gram_cases()[case]
-    model = train(LabeledSet(X, labels), seed=3)
+    model = train(X, labels, seed=3)
     weights, bias, alpha, epochs = naive_dual_cd(X, labels, seed=3)
     assert model.n_epochs == epochs
     assert np.abs(model.dual_coef - alpha).max() < 1e-9
@@ -235,13 +248,13 @@ def test_convergence_diagnostics():
     labels = np.array([0, 1] * 200)
     X = np.clip(rng.standard_normal((400, 2)), -2.5, 2.5)
     X[labels == 1] += [6.0, 6.0]
-    model = train(LabeledSet(X, labels), c_param=1.0, seed=0)
+    model = train(X, labels, c_param=1.0, seed=0)
     assert model.converged
     assert model.final_violation < 1e-4
     assert model.n_epochs < 1000
 
     fold = _gram_cases()["n20-d300"]
-    capped = train(LabeledSet(*fold), tol=1e-4, max_iter=2)
+    capped = train(*fold, tol=1e-4, max_iter=2)
     assert capped.n_epochs == 2
     assert not capped.converged
     assert capped.final_violation >= 1e-4
@@ -259,8 +272,7 @@ def test_primal_path_is_byte_equal_to_oracle(n, d, seed, c_param, max_iter):
     labels = np.array([0, 1] * (n // 2) + [1] * (n % 2))
     X = rng.standard_normal((n, d)) + 0.7 * labels[:, None]
     X[:3] = X[3:6]  # repeated rows
-    model = train(LabeledSet(X, labels), c_param=c_param, max_iter=max_iter,
-                  seed=seed)
+    model = train(X, labels, c_param=c_param, max_iter=max_iter, seed=seed)
     weights, bias, alpha, epochs = naive_dual_cd(
         X, labels, c_param=c_param, max_iter=max_iter, seed=seed)
     assert model.weights.tobytes() == weights.tobytes()
