@@ -254,8 +254,7 @@ def cmd_featurize(args) -> int:
         clips = list(frame_windows(clip, cfg.window_s))
         labels = np.full(len(clips), -1, dtype=np.int64)
     _require_sample_rate(cfg, clips, in_dir)
-    # float32 rows, as the file holds them: save_features copies nothing
-    X = _make_featurizer(cfg)(clips, dtype="<f4")
+    X = _make_featurizer(cfg)(clips)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_features(out, X)

@@ -70,23 +70,6 @@ def _draw_split(labels: np.ndarray, n_train: int, n_test: int, rng):
                     "in 100 retries")
 
 
-def column_sum_of_squares(x: np.ndarray) -> np.ndarray:
-    """np.add.reduce(x * x, axis=0), bytewise, without the n x d square.
-
-    numpy reduces the rows of a C-contiguous matrix into the output one row
-    at a time, so accumulating row by row repeats its additions exactly.  A
-    single column is reduced pairwise instead; that square is small.
-    """
-    if x.shape[1] == 1:
-        return np.add.reduce(x * x, axis=0)
-    acc = x[0] * x[0]
-    square = np.empty_like(acc)
-    for row in x[1:]:
-        np.multiply(row, row, out=square)
-        acc += square
-    return acc
-
-
 def run_monte_carlo(
     features: np.ndarray,
     labels: np.ndarray,
@@ -106,7 +89,7 @@ def run_monte_carlo(
     chunk refills, and no more threads than half the available memory
     holds; each fold's counts land in its row of the result.
     """
-    # a float32 pool (a feature file's) stays float32: the folds widen it
+    # a float32 pool (what featurize makes) stays float32: the folds widen it
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2:
@@ -135,24 +118,24 @@ def run_monte_carlo(
             for buf, idx in ((x_train, train_idx), (x_test, test_idx)):
                 for r, j in enumerate(idx.tolist()):
                     buf[r] = features[j]
-            # standardize in place, with the elementwise steps np.std takes
-            mu = x_train.mean(axis=0)
-            x_train -= mu
-            sd = np.maximum(np.sqrt(column_sum_of_squares(x_train) / n_train),
-                            1e-12)
-            x_train /= sd
-            x_test -= mu
-            x_test /= sd
+            # standardize in place; a non-finite value turns its row NaN
+            # quietly here, and svm.train raises NonFiniteFeatureError on it
+            with np.errstate(invalid="ignore", over="ignore"):
+                mu = x_train.mean(axis=0)
+                x_train -= mu
+                sd = np.maximum(np.sqrt(
+                    np.einsum("ij,ij->j", x_train, x_train) / n_train), 1e-12)
+                x_train /= sd
+                x_test -= mu
+                x_test /= sd
             model = svm.train(x_train, labels[train_idx], c_param=c_param,
                               max_iter=max_iter, seed=int(it))
             counts[it] = confusion(svm.predict_batch(model, x_test),
                                    labels[test_idx])
 
-    # a fold thread allocates its two buffers and, in svm.train, the
-    # augmented copy of x_train (primal path) or the Gram matrix, its
-    # eigenvectors and their scaled copy (Gram path), all float64
-    work = 3 * n_train**2 if n_train <= dim + 1 else n_train * (dim + 1)
-    map_chunks(run_folds, n_iter, 8 * ((n_train + n_test) * dim + work))
+    # a fold thread allocates its two float64 buffers and svm.train's scratch
+    map_chunks(run_folds, n_iter,
+               8 * (n_train + n_test) * dim + svm.scratch_bytes(n_train, dim))
     return MonteCarloResult(counts)
 
 

@@ -32,13 +32,12 @@ def featurize_clips(
     network: Network | None = None,
     params: StftParams | None = None,
     size: int = 256,
-    dtype=np.float64,
 ) -> np.ndarray:
-    """Feature matrix (n_clips x dim) of the given dtype for a list of
+    """Little-endian float32 feature matrix (n_clips x dim) for a list of
     analysis windows, each rendered as a size x size image, computed on the
     threads map_chunks chooses.  Rows are the network's codes, or with no
     network the image's pixels scaled to [0, 1], computed in float64 and
-    rounded once into the matrix."""
+    rounded once into the matrix, which save_features writes as it is."""
     if not clips:
         raise FeatureError("no clips to featurize")
     # Rows go straight into one matrix.  Kept as separate arrays until the
@@ -47,7 +46,7 @@ def featurize_clips(
     # then rose by 50 MB in half the runs.
     X = np.empty((len(clips),
                   size * size if network is None else network.code_dim),
-                 dtype=dtype)
+                 dtype="<f4")
 
     def fill(indices) -> None:
         for i in indices:

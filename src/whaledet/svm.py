@@ -47,6 +47,19 @@ class SvmModel:
         return len(self.weights)
 
 
+def uses_gram(n: int, d: int) -> bool:
+    """Whether train runs its loop on the n x n Gram factor (n <= d + 1)
+    rather than on the n augmented rows."""
+    return n <= d + 1
+
+
+def scratch_bytes(n: int, d: int) -> int:
+    """The float64 scratch train allocates for n rows of d features: the
+    Gram matrix, its eigenvectors and their scaled copy, or the augmented
+    copy of X."""
+    return 8 * (3 * n * n if uses_gram(n, d) else n * (d + 1))
+
+
 def train(
     X: np.ndarray,
     labels: np.ndarray,
@@ -83,7 +96,7 @@ def train(
         raise SvmError(f"labels must be in {{0, 1}}, got {classes}")
 
     n, d = X.shape
-    gram = n <= d + 1
+    gram = uses_gram(n, d)
     # A NaN or infinite value makes its row's squared norm NaN or infinite,
     # so the n norms stand in for a scan of the whole matrix.
     with np.errstate(over="ignore", invalid="ignore"):

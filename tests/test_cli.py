@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +24,9 @@ from whaledet.features import (
     save_labels,
 )
 from whaledet.svm import SvmModel, save_model
+
+# a numpy RuntimeWarning on any command's path fails its test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # small geometry keeps CLI runs fast while exercising every code path
 FAST = [
@@ -201,6 +205,23 @@ def test_sweep_csv_row_count_and_determinism(tmp_path):
         sums.append(hashlib.sha256((out / "sweep_results.csv").read_bytes())
                     .hexdigest())
     assert sums[0] == sums[1]
+
+
+@pytest.mark.parametrize("features", ["cnn", "spectrogram"])
+def test_sweep_folds_read_a_float32_pool(tmp_path, monkeypatch, features):
+    # the pool evaluate reads from a feature file, in both representations
+    dtypes = []
+    real_run_monte_carlo = ev.run_monte_carlo
+
+    def recording(features, labels, **kwargs):
+        dtypes.append(features.dtype)
+        return real_run_monte_carlo(features, labels, **kwargs)
+
+    monkeypatch.setattr(ev, "run_monte_carlo", recording)
+    cfg = _cfg(tmp_path, SMALL_SWEEP)
+    assert main(["sweep", "--config", cfg, "--features", features,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert dtypes == [np.dtype("<f4")]
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -649,7 +670,9 @@ def test_non_finite_feature_exits_2(tmp_path, capsys, command, value):
         "predict": ["predict", "--model", str(model_path), "--features",
                     str(feat), "--out", str(out)],
     }[command.split("-")[0]]
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error line is all stderr holds
+        assert main(argv) == 2
     assert "NaN or infinity" in capsys.readouterr().err
     assert not out.exists()
 
