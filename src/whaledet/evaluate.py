@@ -97,6 +97,13 @@ def run_monte_carlo(
     if len(features) != len(labels):
         raise EvalError(
             f"{len(features)} feature rows vs {len(labels)} labels")
+    classes = np.unique(labels).tolist()
+    if not set(classes) <= {0, 1}:
+        raise EvalError(f"labels must be in {{0, 1}}, got {classes}")
+    n_pos = int(labels.sum())
+    if min(n_pos, len(labels) - n_pos) < 2:
+        raise EvalError(f"each class needs at least 2 rows, got "
+                        f"{len(labels) - n_pos} of label 0 and {n_pos} of 1")
     if len(labels) < n_train + n_test:
         raise EvalError(
             f"pool of {len(labels)} samples too small for {n_train}+{n_test} "

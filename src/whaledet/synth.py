@@ -100,9 +100,16 @@ def snr_gain(signal_power: float, noise_power: float, snr_db: float) -> float:
     return math.sqrt(signal_power / noise_power) * 10.0 ** (-snr_db / 20.0)
 
 
-def _scaled_noise(sig: AudioClip, noise: AudioClip,
-                  snr_db: float) -> tuple[float, np.ndarray]:
-    """Signal power P_s and the noise samples scaled by snr_gain."""
+def mix_at_snr(sig: AudioClip, noise: AudioClip,
+               snr_db: float) -> tuple[AudioClip, float]:
+    """signal + a*noise with the noise scaled to hit the requested SNR, and
+    the SNR achieved, 10*log10(P_s / P(a*noise)).
+
+    The signal is left untouched; the mixture is not re-normalized (that
+    would silently change the SNR), so samples may exceed [-1, 1].  An SNR
+    whose noise gain a, scaled-noise power or achieved SNR over- or
+    underflows raises SynthError.
+    """
     if len(sig) != len(noise):
         raise SynthError(
             f"length mismatch: signal {len(sig)} vs noise {len(noise)}"
@@ -113,17 +120,23 @@ def _scaled_noise(sig: AudioClip, noise: AudioClip,
         raise SynthError("zero-power signal cannot be mixed at a target SNR")
     if p_n == 0.0:
         raise SynthError("zero-power noise cannot be mixed at a target SNR")
-    return p_s, snr_gain(p_s, p_n, snr_db) * noise.samples
-
-
-def mix_at_snr(sig: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
-    """signal + a*noise with the noise scaled to hit the requested SNR.
-
-    The signal is left untouched; the mixture is not re-normalized (that
-    would silently change the SNR), so samples may exceed [-1, 1].
-    """
-    return AudioClip(sig.samples + _scaled_noise(sig, noise, snr_db)[1],
-                     sig.sample_rate_hz)
+    try:
+        gain = snr_gain(p_s, p_n, snr_db)
+    except OverflowError:  # 10 ** (-snr_db / 20) beyond the float range
+        gain = math.inf
+    p_a = achieved = math.nan
+    if 0.0 < gain < math.inf:
+        scaled = gain * noise.samples
+        with np.errstate(over="ignore"):  # an infinite power is named below
+            p_a = mean_square_power(AudioClip(scaled, noise.sample_rate_hz))
+    if 0.0 < p_a < math.inf:
+        achieved = 10.0 * math.log10(p_s / p_a)
+    if not math.isfinite(achieved):
+        raise SynthError(
+            f"an SNR of {snr_db:g} dB is out of range for this signal and "
+            f"noise: noise gain {gain:g}, scaled noise power {p_a:g}, "
+            f"achieved SNR {achieved:g} dB")
+    return AudioClip(sig.samples + scaled, sig.sample_rate_hz), achieved
 
 
 def _unit_window(unit: AudioClip, window_len: int, rng) -> AudioClip:
@@ -176,47 +189,22 @@ def build_experiment(
     samples: list[MixedSample] = []
     for k in range(n_pos + n_neg):
         rng = np.random.default_rng([cfg.seed, k])
-        if k < n_pos:
+        positive = k < n_pos
+        if positive:
             ui = int(rng.integers(0, len(units)))
             sig = _unit_window(units[ui], window_len, rng)
-            nt, ci, offset, noise_seg = _noise_window(
-                bank, cfg.noise_types, window_len, rng
-            )
-            p_s, scaled = _scaled_noise(sig, noise_seg, cfg.snr_db)
-            achieved = 10.0 * math.log10(
-                p_s / mean_square_power(AudioClip(scaled, sr)))
-            samples.append(
-                MixedSample(
-                    audio=AudioClip(sig.samples + scaled, sig.sample_rate_hz),
-                    label=1,
-                    provenance=Provenance(
-                        unit_id=f"unit_{ui:04d}",
-                        noise_type=nt,
-                        noise_id=f"{nt}_{ci:04d}",
-                        offset_samples=offset,
-                        requested_snr_db=cfg.snr_db,
-                        achieved_snr_db=achieved,
-                    ),
-                )
-            )
-        else:
-            nt, ci, offset, noise_seg = _noise_window(
-                bank, cfg.noise_types, window_len, rng
-            )
-            samples.append(
-                MixedSample(
-                    audio=noise_seg,
-                    label=0,
-                    provenance=Provenance(
-                        unit_id="",
-                        noise_type=nt,
-                        noise_id=f"{nt}_{ci:04d}",
-                        offset_samples=offset,
-                        requested_snr_db=float("nan"),
-                        achieved_snr_db=float("nan"),
-                    ),
-                )
-            )
+        nt, ci, offset, audio = _noise_window(bank, cfg.noise_types,
+                                              window_len, rng)
+        unit_id, requested, achieved = "", math.nan, math.nan
+        if positive:
+            audio, achieved = mix_at_snr(sig, audio, cfg.snr_db)
+            unit_id, requested = f"unit_{ui:04d}", cfg.snr_db
+        samples.append(MixedSample(
+            audio=audio, label=int(positive),
+            provenance=Provenance(
+                unit_id=unit_id, noise_type=nt, noise_id=f"{nt}_{ci:04d}",
+                offset_samples=offset, requested_snr_db=requested,
+                achieved_snr_db=achieved)))
     return samples
 
 

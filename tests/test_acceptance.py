@@ -116,7 +116,7 @@ def test_criterion_3_snr_round_trip():
                         * rng.uniform(0.1, 2.0), SR)
         noise = AudioClip(rng.standard_normal(2000)
                           * rng.uniform(0.1, 2.0), SR)
-        mixed = mix_at_snr(sig, noise, snr)
+        mixed, _ = mix_at_snr(sig, noise, snr)
         added = AudioClip(mixed.samples - sig.samples, SR)
         achieved = 10.0 * math.log10(mean_square_power(sig)
                                      / mean_square_power(added))

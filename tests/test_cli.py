@@ -630,6 +630,23 @@ def test_features_and_labels_of_different_lengths_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("labels, named", [
+    ([0, 1, -1] * 20, "got [-1, 0, 1]"),
+    ([1] * 59 + [0], "got 1 of label 0 and 59 of 1"),
+], ids=["unlabeled-rows", "one-negative"])
+def test_evaluate_names_labels_it_cannot_split_exit_2(tmp_path, capsys,
+                                                      labels, named):
+    # -1 is what featurize writes for the windows of a single WAV
+    feat, _ = _oracle_feature_files(tmp_path)  # 60 rows
+    bad = tmp_path / "bad.labels.csv"
+    save_labels(bad, labels)
+    out = tmp_path / "out.csv"
+    argv = _commands_on(feat, bad, tmp_path / "model.txt", out)["evaluate"]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_rejects_non_finite_features(tmp_path, capsys):
     feat, _ = _oracle_feature_files(tmp_path)
     X = load_features(feat)
@@ -675,6 +692,27 @@ def test_non_finite_feature_exits_2(tmp_path, capsys, command, value):
         assert main(argv) == 2
     assert "NaN or infinity" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, snr", [
+    ("synth", "7000"), ("synth", "-7000"), ("synth", "-3100"),
+    ("synth", "3300"), ("synth", "3090"), ("sweep", "3090"),
+])
+def test_snr_that_over_or_underflows_exits_2(tmp_path, capsys, command, snr):
+    # finite SNRs whose noise gain (+-7000), scaled noise power (-3100,
+    # 3300) or achieved SNR (3090) leaves the float range
+    out = tmp_path / "out"
+    argv = [command, "--config", _cfg(tmp_path, SMALL_SWEEP), f"--snr={snr}",
+            "--out", str(out)]
+    try:
+        rc = main(argv)
+    except Exception as exc:  # the contract is an exit code, never a traceback
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"SNR of {float(snr):g} dB is out of range" in err[0]
+    assert not out.exists()  # no manifest, WAV or sweep CSV
 
 
 @pytest.mark.skipif(sys.platform != "linux",

@@ -133,7 +133,18 @@ def test_monte_carlo_float32_pool_scores_as_its_float64_values(d):
 @pytest.mark.parametrize("X, labels, message", [
     (np.ones(100), [0, 1] * 50, "2-D"),
     (np.ones((100, 3)), [0, 1] * 49, "100 feature rows vs 98 labels"),
-], ids=["vector", "length-mismatch"])
+    # labels it cannot split are named before any draw, not after 100
+    # draws that cannot succeed
+    (np.ones((60, 3)), [0, 1, -1] * 20,
+     r"labels must be in \{0, 1\}, got \[-1, 0, 1\]"),
+    (np.ones((60, 3)), [0, 1, 2] * 20,
+     r"labels must be in \{0, 1\}, got \[0, 1, 2\]"),
+    (np.ones((60, 3)), [1] * 59 + [0],
+     "at least 2 rows, got 1 of label 0 and 59 of 1"),
+    (np.ones((60, 3)), [0] * 60,
+     "at least 2 rows, got 60 of label 0 and 0 of 1"),
+], ids=["vector", "length-mismatch", "label-minus-one", "label-two",
+        "one-negative", "no-positive"])
 def test_monte_carlo_checks_matrix_and_label_count(X, labels, message):
     with pytest.raises(EvalError, match=message):
         run_monte_carlo(X, labels, n_iter=1, n_train=20, n_test=10)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from whaledet import synth
 from whaledet.audio import AudioClip, mean_square_power, save_wav
 from whaledet.spectrogram import StftParams, stft_magnitude
 from whaledet.synth import (
@@ -39,7 +40,7 @@ def test_equal_power_10db_gain():
 def test_mix_round_trip_snr():
     sig = _white(4000, 1)
     noise = _white(4000, 2, amp=3.0)
-    mixed = mix_at_snr(sig, noise, -10.0)
+    mixed, _ = mix_at_snr(sig, noise, -10.0)
     added = AudioClip(mixed.samples - sig.samples, SR)
     snr = 10 * math.log10(mean_square_power(sig) / mean_square_power(added))
     assert snr == pytest.approx(-10.0, abs=1e-9)
@@ -53,6 +54,12 @@ def test_mix_errors():
         mix_at_snr(sig, AudioClip(np.zeros(100), SR), 0.0)
     with pytest.raises(SynthError):
         mix_at_snr(AudioClip(np.zeros(100), SR), sig, 0.0)
+    # the noise gain underflows to 0 (7000) or overflows (-7000), the scaled
+    # noise power overflows (-3100) or underflows (3300), or P_s over it
+    # overflows to an infinite achieved SNR (3090)
+    for snr_db in (7000.0, -7000.0, -3100.0, 3300.0, 3090.0):
+        with pytest.raises(SynthError, match="out of range"):
+            mix_at_snr(sig, _white(100, 4), snr_db)
 
 
 def test_unit_pure_tone_argmax_bin():
@@ -177,6 +184,25 @@ def test_achieved_snr_matches_requested():
         for s in build_experiment(units, bank, cfg, 6, 0, window_s=2.0):
             assert s.provenance.achieved_snr_db == pytest.approx(snr, abs=1e-9)
             assert abs(s.provenance.achieved_snr_db - snr) < 0.01
+
+
+def test_build_experiment_mixes_every_positive_through_mix_at_snr(
+        monkeypatch):
+    mixtures = []
+
+    def counting_mix(sig, noise, snr_db):
+        mixed, achieved = mix_at_snr(sig, noise, snr_db)
+        mixtures.append(mixed)
+        return mixed, achieved
+
+    monkeypatch.setattr(synth, "mix_at_snr", counting_mix)
+    units, bank = _small_setup()
+    samples = build_experiment(units, bank, ExperimentConfig("E6", 5.0, 3),
+                               n_pos=3, n_neg=2, window_s=2.0)
+    assert len(mixtures) == 3
+    assert [s.label for s in samples] == [1, 1, 1, 0, 0]
+    for s, mixed in zip(samples, mixtures):
+        assert s.audio is mixed
 
 
 def test_e6_noise_types_near_uniform():
