@@ -166,6 +166,9 @@ def _load_config(args) -> PipelineConfig:
         value = getattr(cfg, key)
         if not 0 < value < math.inf:
             raise UsageError(f"{key} must be finite and > 0, got {value}")
+    if cfg.sample_rate != round(cfg.sample_rate):  # WAV headers hold whole Hz
+        raise UsageError(
+            f"sample_rate must be a whole number of Hz, got {cfg.sample_rate}")
     for key in ("n_pos", "n_neg", "seed"):  # 0 is a valid count and seed
         if getattr(cfg, key) < 0:
             raise UsageError(f"{key} must be >= 0, got {getattr(cfg, key)}")

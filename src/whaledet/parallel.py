@@ -1,12 +1,13 @@
 """Contiguous chunks of independent work on a thread pool.
 
-numpy releases the interpreter lock inside its array kernels, so windows
-and Monte-Carlo folds run concurrently on threads.  Each chunk is one
-contiguous index range and its results come back in index order, so the
-output does not depend on the number of threads.  That number is decided
-here alone, from the usable CPUs, the threads each BLAS call may start and
-the free memory; restricting the process's CPU affinity (for example with
-taskset) lowers it.
+numpy releases the interpreter lock inside its array kernels, so
+synthesized units and noise clips, featurization windows and Monte-Carlo
+folds run concurrently on threads.  Each chunk is one contiguous index
+range and its results come back in index order, so the output does not
+depend on the number of threads.  That number is decided here alone,
+from the usable CPUs, the threads each BLAS call may start and the free
+memory; restricting the process's CPU affinity (for example with taskset)
+lowers it.
 """
 
 from __future__ import annotations

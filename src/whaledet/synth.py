@@ -25,6 +25,7 @@ from .audio import (
     normalize_unit,
     save_wav,
 )
+from .parallel import map_chunks
 
 NOISE_TYPES = ("clean", "wind", "rain", "traffic", "chorus")
 
@@ -328,15 +329,30 @@ def synth_noise_bank(
     sample_rate: float = 44100.0,
     seed: int = 0,
 ) -> NoiseBank:
-    """Fully synthetic noise bank covering every supported type."""
-    entries = {
-        nt: [
-            synth_noise(nt, duration_s, sample_rate, seed=seed * 1000 + i)
-            for i in range(clips_per_type)
-        ]
-        for nt in NOISE_TYPES
-    }
-    return NoiseBank(entries=entries)
+    """Fully synthetic noise bank covering every supported type, its clips
+    synthesized on the threads map_chunks chooses.
+
+    Needs a sample rate above 7200 Hz: chorus units reach 1200 x 3 Hz.
+    """
+    if not sample_rate > 7200.0:
+        raise SynthError(
+            f"the synthetic noise bank needs a sample_rate above 7200 Hz "
+            f"(chorus units reach 3600 Hz), got {sample_rate:g} Hz")
+    # clip-major (clean0, wind0, ..., chorus0, clean1, ...), so that
+    # contiguous chunks share out the costly traffic clips; each clip has
+    # its own seed, so the order cannot change a sample
+    jobs = [(nt, i) for i in range(clips_per_type) for nt in NOISE_TYPES]
+    clips = [None] * len(jobs)
+
+    def fill(indices) -> None:
+        for j in indices:
+            nt, i = jobs[j]
+            clips[j] = synth_noise(nt, duration_s, sample_rate,
+                                   seed=seed * 1000 + i)
+
+    map_chunks(fill, len(jobs))
+    return NoiseBank(entries={nt: clips[k::len(NOISE_TYPES)]
+                              for k, nt in enumerate(NOISE_TYPES)})
 
 
 def synth_unit_pool(
@@ -348,22 +364,38 @@ def synth_unit_pool(
 
     Long harmonic-rich chirps with slow vibrato: closer in texture to a
     recorded vocalization than a bare sinusoid, so they paint an extended
-    ridge across a 2-s analysis window.
+    ridge across a 2-s analysis window.  Every unit's parameters come from
+    one RNG on the calling thread; the units are then synthesized on the
+    threads map_chunks chooses.  Start frequencies are drawn from 200 Hz
+    up to 0.15 x sample_rate, so the rate must exceed 1333.3 Hz.
     """
+    f_top = min(1000.0, 0.45 * sample_rate / 3.0)
+    if not f_top > 200.0:
+        raise SynthError(
+            f"the synthetic unit pool needs a sample_rate above 1333.3 Hz "
+            f"(units start between 200 Hz and 0.15 x sample_rate), got "
+            f"{sample_rate:g} Hz")
     rng = np.random.default_rng([97, seed])
-    ceiling = 0.45 * sample_rate
-    units = []
+    params = []
     for _ in range(n_units):
         dur = rng.uniform(1.5, 3.5)
-        f0 = rng.uniform(200.0, min(1000.0, ceiling / 3.0))
+        f0 = rng.uniform(200.0, f_top)
         f1 = min(f0 * rng.uniform(1.3, 3.0), 0.2 * sample_rate)
         if rng.random() < 0.5:
             f0, f1 = f1, f0
-        units.append(synth_whale_unit(
-            dur, f0, f1, amp=1.0, sample_rate=sample_rate,
-            harmonics=(1.0, 0.5, 0.25),
-            vibrato_hz=rng.uniform(2.0, 6.0), vibrato_depth=0.02,
-        ))
+        params.append((dur, f0, f1, rng.uniform(2.0, 6.0)))
+    units = [None] * n_units
+
+    def fill(indices) -> None:
+        for i in indices:
+            dur, f0, f1, vibrato_hz = params[i]
+            units[i] = synth_whale_unit(
+                dur, f0, f1, amp=1.0, sample_rate=sample_rate,
+                harmonics=(1.0, 0.5, 0.25),
+                vibrato_hz=vibrato_hz, vibrato_depth=0.02,
+            )
+
+    map_chunks(fill, n_units)
     return units
 
 

@@ -457,6 +457,8 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     ("sweep-snr", "0.01 0.04", 1),
     ("sweep-snr", "-0.04 0.04", 1),
     ("sweep-config", "snr_values=0.05,0.15\n", 1),
+    ("synth-config", "sample_rate=8000.5\n", 1),
+    ("sweep-config", "sample_rate=8000.5\n", 1),
 ], ids=["config-value", "config-snr-list", "label-not-int", "label-missing",
         "label-column-missing", "model-header", "model-weight",
         "model-header-nan", "model-weight-inf", "manifest-label",
@@ -479,7 +481,8 @@ def test_featurize_matches_golden_digests(tmp_path, features):
         "sweep-repeated-experiment", "sweep-repeated-snr-value",
         "sweep-repeated-snr-flag", "sweep-snr-flags-print-alike",
         "sweep-snr-signed-zeros-print-alike",
-        "sweep-snr-values-print-alike"])
+        "sweep-snr-values-print-alike", "synth-sample-rate-fractional",
+        "sweep-sample-rate-fractional"])
 def test_malformed_text_inputs_exit_codes(tmp_path, capsys, kind, text, code):
     feat, labels = _oracle_feature_files(tmp_path)
     ds = tmp_path / "ds"
@@ -713,6 +716,26 @@ def test_snr_that_over_or_underflows_exits_2(tmp_path, capsys, command, snr):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"SNR of {float(snr):g} dB is out of range" in err[0]
     assert not out.exists()  # no manifest, WAV or sweep CSV
+
+
+@pytest.mark.parametrize("rate", ["1000", "4000", "7000"])
+def test_rate_below_the_synthetic_generators_floor_exits_2(tmp_path, capsys,
+                                                           rate):
+    # 1000 Hz is below the unit pool's floor (1333.3 Hz), 4000 and 7000 Hz
+    # below the noise bank's (7200 Hz)
+    out = tmp_path / "out"
+    argv = ["synth", "--config", _cfg(tmp_path, [f"sample_rate={rate}"]),
+            "--experiment", "E1", "--snr", "0", "--out", str(out)]
+    try:
+        rc = main(argv)
+    except Exception as exc:  # the contract is an exit code, never a traceback
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "needs a sample_rate above" in err[0]
+    assert f"got {rate} Hz" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.skipif(sys.platform != "linux",

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from whaledet import synth
+from whaledet import parallel, synth
 from whaledet.audio import AudioClip, mean_square_power, save_wav
 from whaledet.spectrogram import StftParams, stft_magnitude
 from whaledet.synth import (
+    NOISE_TYPES,
     ExperimentConfig,
     NoiseBank,
     SynthError,
@@ -299,3 +300,57 @@ def test_build_experiment_rejects_mixed_sample_rates():
         build_experiment(units, slow_bank, cfg, 2, 2)
     # a noise type the experiment does not use may have any rate
     build_experiment(units, slow_bank, ExperimentConfig("E3", 0.0, 0), 2, 2)
+
+
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    """The item counts that synth passes to map_chunks, in call order."""
+    calls = []
+    real_map_chunks = synth.map_chunks
+
+    def recording(fn, n_items, *args):
+        calls.append(n_items)
+        return real_map_chunks(fn, n_items, *args)
+
+    monkeypatch.setattr(synth, "map_chunks", recording)
+    return calls
+
+
+def test_pool_and_bank_bytes_do_not_depend_on_thread_count(monkeypatch,
+                                                          chunk_calls):
+    runs = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(parallel, "default_jobs", lambda: threads)
+        chunk_calls.clear()
+        units = synth_unit_pool(30, 44100.0, seed=4)
+        bank = synth_noise_bank(5.0, 2, 44100.0, seed=4)
+        assert chunk_calls == [30, 10]  # the units, then 5 types x 2 clips
+        assert list(bank.entries) == list(NOISE_TYPES)
+        runs.append(([u.samples.tobytes() for u in units],
+                     {nt: [c.samples.tobytes() for c in clips]
+                      for nt, clips in bank.entries.items()}))
+    assert runs[0] == runs[1] == runs[2]
+    # clip i of each type is synth_noise's clip at seed 4 * 1000 + i
+    assert runs[0][1] == {
+        nt: [synth_noise(nt, 5.0, 44100.0, seed=4000 + i).samples.tobytes()
+             for i in range(2)]
+        for nt in NOISE_TYPES}
+
+
+@pytest.mark.parametrize("build, rate", [
+    (lambda sr: synth_unit_pool(3, sr), 1000.0),
+    (lambda sr: synth_unit_pool(3, sr), 1333.0),
+    (lambda sr: synth_noise_bank(1.0, 1, sr), 4000.0),
+    (lambda sr: synth_noise_bank(1.0, 1, sr), 7200.0),
+], ids=["units-1000", "units-1333", "bank-4000", "bank-7200"])
+def test_rate_below_the_generators_floor_raises_before_any_thread(
+        chunk_calls, build, rate):
+    with pytest.raises(SynthError, match="needs a sample_rate above"):
+        build(rate)
+    assert chunk_calls == []
+
+
+def test_pool_and_bank_build_just_above_the_floor():
+    assert len(synth_unit_pool(3, 1334.0)) == 3
+    bank = synth_noise_bank(1.0, 1, 7201.0, seed=1)
+    assert [len(clips) for clips in bank.entries.values()] == [1] * 5
