@@ -29,6 +29,7 @@ from .audio import (
 from .cnn import NetworkError, load_network, tiny_vgg
 from .features import (
     FeatureError,
+    LazyClips,
     featurize_clips,
     load_features,
     load_labels,
@@ -42,8 +43,9 @@ from .synth import (
     ExperimentConfig,
     SynthError,
     build_experiment,
+    dataset_loader,
     load_noise_bank,
-    read_dataset,
+    sample_builder,
     synth_noise_bank,
     synth_unit_pool,
     write_dataset,
@@ -251,12 +253,19 @@ def cmd_featurize(args) -> int:
     cfg = _load_config(args)
     in_dir = Path(args.input)
     if in_dir.is_dir():
-        clips, labels = read_dataset(in_dir)
+        load, labels = dataset_loader(in_dir)
+
+        def clip(i: int):  # read on the thread that featurizes row i
+            c = load(i)
+            _require_sample_rate(cfg, [c], in_dir)
+            return c
+
+        clips = LazyClips(len(labels), clip)
     else:
-        clip = load_wav(in_dir)
-        clips = list(frame_windows(clip, cfg.window_s))
+        recording = load_wav(in_dir)
+        _require_sample_rate(cfg, [recording], in_dir)
+        clips = list(frame_windows(recording, cfg.window_s))
         labels = np.full(len(clips), -1, dtype=np.int64)
-    _require_sample_rate(cfg, clips, in_dir)
     X = _make_featurizer(cfg)(clips)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -324,12 +333,14 @@ def cmd_sweep(args) -> int:
         for si, snr_db in enumerate(snrs):
             seed = int(np.random.SeedSequence([cfg.seed, ei, si])
                        .generate_state(1)[0])
-            samples = build_experiment(
+            # each window is built on the thread that featurizes it
+            sample = sample_builder(
                 units, bank, ExperimentConfig(exp, snr_db, seed),
-                cfg.n_pos, cfg.n_neg, window_s=cfg.window_s)
+                cfg.n_pos, window_s=cfg.window_s)
+            n = cfg.n_pos + cfg.n_neg
             result = ev.run_monte_carlo(
-                featurize([s.audio for s in samples]),
-                [s.label for s in samples], n_iter=cfg.n_iter,
+                featurize(LazyClips(n, lambda k: sample(k).audio)),
+                np.arange(n) < cfg.n_pos, n_iter=cfg.n_iter,
                 n_train=cfg.n_train, n_test=cfg.n_test, seed=seed,
                 c_param=cfg.c_param, max_iter=cfg.svm_max_iter)
             cells.append(replace(result, experiment_id=exp, snr_db=snr_db))

@@ -85,9 +85,10 @@ def run_monte_carlo(
 
     Each fold's features are centered and scaled by statistics computed
     from the training draw only.  The folds run on the threads map_chunks
-    chooses, each with one pair of fold buffers that every fold of its
-    chunk refills, and no more threads than half the available memory
-    holds; each fold's counts land in its row of the result.
+    chooses, each with one fold buffer that holds a fold's training rows
+    and then, once the SVM is trained, its test rows, and no more threads
+    than half the available memory holds; each fold's counts land in its
+    row of the result.
     """
     # a float32 pool (what featurize makes) stays float32: the folds widen it
     features = np.asarray(features)
@@ -114,17 +115,19 @@ def run_monte_carlo(
     dim = features.shape[1]
     counts = np.empty((n_iter, len(COUNTS)), dtype=np.int64)
 
+    def fill(buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # row by row, so a float32 pool is widened into the buffer
+        # (exactly) without a float64 copy of the pool
+        for r, j in enumerate(idx.tolist()):
+            buf[r] = features[j]
+        return buf[:len(idx)]
+
     def run_folds(iterations) -> None:
-        x_train = np.empty((n_train, dim))
-        x_test = np.empty((n_test, dim))
+        buf = np.empty((max(n_train, n_test), dim))
         for it in iterations:
             rng = np.random.default_rng([seed, it])
             train_idx, test_idx = _draw_split(labels, n_train, n_test, rng)
-            # row by row, so a float32 pool is widened into the buffers
-            # (exactly) without a float64 copy of the pool
-            for buf, idx in ((x_train, train_idx), (x_test, test_idx)):
-                for r, j in enumerate(idx.tolist()):
-                    buf[r] = features[j]
+            x_train = fill(buf, train_idx)
             # standardize in place; a non-finite value turns its row NaN
             # quietly here, and svm.train raises NonFiniteFeatureError on it
             with np.errstate(invalid="ignore", over="ignore"):
@@ -133,16 +136,20 @@ def run_monte_carlo(
                 sd = np.maximum(np.sqrt(
                     np.einsum("ij,ij->j", x_train, x_train) / n_train), 1e-12)
                 x_train /= sd
-                x_test -= mu
-                x_test /= sd
             model = svm.train(x_train, labels[train_idx], c_param=c_param,
                               max_iter=max_iter, seed=int(it))
+            # the trained model holds no view of x_train, so the test rows
+            # take its place in the buffer
+            x_test = fill(buf, test_idx)
+            with np.errstate(invalid="ignore", over="ignore"):
+                x_test -= mu
+                x_test /= sd
             counts[it] = confusion(svm.predict_batch(model, x_test),
                                    labels[test_idx])
 
-    # a fold thread allocates its two float64 buffers and svm.train's scratch
+    # a fold thread allocates its float64 buffer and svm.train's scratch
     map_chunks(run_folds, n_iter,
-               8 * (n_train + n_test) * dim + svm.scratch_bytes(n_train, dim))
+               8 * max(n_train, n_test) * dim + svm.scratch_bytes(n_train, dim))
     return MonteCarloResult(counts)
 
 

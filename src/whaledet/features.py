@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +29,20 @@ class FeatureError(Exception):
 
 
 def featurize_clips(
-    clips: list[AudioClip],
+    clips: Sequence[AudioClip],
     network: Network | None = None,
     params: StftParams | None = None,
     size: int = 256,
 ) -> np.ndarray:
-    """Little-endian float32 feature matrix (n_clips x dim) for a list of
-    analysis windows, each rendered as a size x size image, computed on the
-    threads map_chunks chooses.  Rows are the network's codes, or with no
-    network the image's pixels scaled to [0, 1], computed in float64 and
-    rounded once into the matrix, which save_features writes as it is."""
+    """Little-endian float32 feature matrix (n_clips x dim) for a sequence
+    of analysis windows, each rendered as a size x size image, computed on
+    the threads map_chunks chooses.  Rows are the network's codes, or with
+    no network the image's pixels scaled to [0, 1], computed in float64 and
+    rounded once into the matrix, which save_features writes as it is.
+
+    clips needs only a length and an index: clips[i] is read once, on the
+    thread that fills row i, so a sequence that reads or builds window i
+    when indexed holds about one window per thread, not all of them."""
     if not clips:
         raise FeatureError("no clips to featurize")
     # Rows go straight into one matrix.  Kept as separate arrays until the
@@ -59,6 +64,23 @@ def featurize_clips(
 
     map_chunks(fill, len(clips))
     return X
+
+
+class LazyClips:
+    """A sequence of n clips whose clip i is make(i), called each time it
+    is indexed: what featurize_clips needs to read each window on its
+    worker thread."""
+
+    def __init__(self, n: int, make):
+        self._n, self._make = n, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> AudioClip:
+        if not 0 <= i < self._n:
+            raise IndexError(i)
+        return self._make(i)
 
 
 def save_features(path, X: np.ndarray) -> None:

@@ -1,13 +1,14 @@
-"""Contiguous chunks of independent work on a thread pool.
+"""Independent items of work shared out to a thread pool.
 
 numpy releases the interpreter lock inside its array kernels, so
 synthesized units and noise clips, featurization windows and Monte-Carlo
-folds run concurrently on threads.  Each chunk is one contiguous index
-range and its results come back in index order, so the output does not
-depend on the number of threads.  That number is decided here alone,
-from the usable CPUs, the threads each BLAS call may start and the free
-memory; restricting the process's CPU affinity (for example with taskset)
-lowers it.
+folds run concurrently on threads.  Each thread takes the next index from
+one shared counter, so a thread slowed by a costly item or by the host
+takes fewer items, and every caller writes item i's result to slot i, so
+the output does not depend on the number of threads.  That number is
+decided here alone, from the usable CPUs, the threads each BLAS call may
+start and the free memory; restricting the process's CPU affinity (for
+example with taskset) lowers it.
 """
 
 from __future__ import annotations
@@ -104,54 +105,47 @@ def threads_within_memory(jobs: int, bytes_per_thread: int) -> int:
     return min(jobs, max(1, int(room // bytes_per_thread)))
 
 
-def chunk_ranges(n_items: int, jobs: int) -> list[range]:
-    """min(jobs, n_items) contiguous ranges covering range(n_items), sized
-    as evenly as possible (one range when n_items is 0)."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    k = max(1, min(jobs, n_items))
-    size, extra = divmod(n_items, k)  # the first `extra` ranges get one more
-    bounds = [i * size + min(i, extra) for i in range(k + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def map_chunks(fn, n_items: int, bytes_per_thread: int = 0) -> list:
-    """[fn(iter(r)) for r in chunk_ranges(n_items, jobs)], one thread per
-    range, where jobs is default_jobs() lowered by threads_within_memory
-    for threads that each hold bytes_per_thread of their own buffers.
+    """fn(indices) on each of min(jobs, n_items) threads, where jobs is
+    default_jobs() lowered by threads_within_memory for threads that each
+    hold bytes_per_thread of their own buffers; the list of their results.
 
-    fn receives an iterator over its range's indices.  Once one chunk
-    raises, or the caller is interrupted, the other chunks' iterators end
-    at their next index, so the error surfaces after at most one more item
-    per thread; the first error raised is the one re-raised.  A single
-    range runs in the calling thread.
+    Every thread's iterator yields the next index of range(n_items) not
+    yet taken, so each index goes to exactly one thread, in no fixed
+    split.  Once one thread raises, or the caller is interrupted, the
+    others' iterators end, so the error surfaces after at most one more
+    item per thread; the first error raised is the one re-raised.  With a
+    single thread, fn runs in the calling thread on iter(range(n_items)).
     """
-    chunks = chunk_ranges(
-        n_items, threads_within_memory(default_jobs(), bytes_per_thread))
-    if len(chunks) == 1:
-        return [fn(iter(chunks[0]))]
+    jobs = min(threads_within_memory(default_jobs(), bytes_per_thread),
+               n_items)
+    if jobs <= 1:
+        return [fn(iter(range(n_items)))]
     stop = threading.Event()
     errors = []
-    first = threading.Lock()
+    lock = threading.Lock()
+    taken = iter(range(n_items))  # shared; next() on it runs under lock
 
-    def indices(r: range):
-        for i in r:
-            if stop.is_set():
+    def indices():
+        while not stop.is_set():
+            with lock:
+                i = next(taken, None)
+            if i is None:
                 return
             yield i
 
-    def run(r: range):
+    def run():
         try:
-            return fn(indices(r))
+            return fn(indices())
         except BaseException as exc:
-            with first:
+            with lock:
                 if not stop.is_set():  # a later error may come of the stop
                     errors.append(exc)
                     stop.set()
             raise
 
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(run, r) for r in chunks]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(run) for _ in range(jobs)]
         try:
             wait(futures)
         except BaseException:  # interrupted while waiting

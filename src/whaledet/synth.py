@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,15 +166,19 @@ def _noise_window(bank: NoiseBank, noise_types, window_len: int, rng):
     return nt, ci, offset, seg
 
 
-def build_experiment(
+def sample_builder(
     units: list[AudioClip],
     bank: NoiseBank,
     cfg: ExperimentConfig,
     n_pos: int,
-    n_neg: int,
     window_s: float = 2.0,
-) -> list[MixedSample]:
-    """n_pos unit+noise mixtures at cfg.snr_db and n_neg pure-noise windows."""
+) -> Callable[[int], MixedSample]:
+    """The function that builds sample k of an experiment: for k < n_pos a
+    unit+noise mixture at cfg.snr_db, else a pure-noise window.
+
+    The units and bank are checked here, once; sample k draws from its own
+    RNG, so samples can be built in any order and on any thread.
+    """
     if not units:
         raise SynthError("no sound units provided")
     sr = units[0].sample_rate_hz
@@ -187,8 +192,7 @@ def build_experiment(
             f"{sr:g} Hz, found {', '.join(f'{r:g}' for r in sorted(rates))} Hz"
         )
 
-    samples: list[MixedSample] = []
-    for k in range(n_pos + n_neg):
+    def sample(k: int) -> MixedSample:
         rng = np.random.default_rng([cfg.seed, k])
         positive = k < n_pos
         if positive:
@@ -200,13 +204,27 @@ def build_experiment(
         if positive:
             audio, achieved = mix_at_snr(sig, audio, cfg.snr_db)
             unit_id, requested = f"unit_{ui:04d}", cfg.snr_db
-        samples.append(MixedSample(
+        return MixedSample(
             audio=audio, label=int(positive),
             provenance=Provenance(
                 unit_id=unit_id, noise_type=nt, noise_id=f"{nt}_{ci:04d}",
                 offset_samples=offset, requested_snr_db=requested,
-                achieved_snr_db=achieved)))
-    return samples
+                achieved_snr_db=achieved))
+
+    return sample
+
+
+def build_experiment(
+    units: list[AudioClip],
+    bank: NoiseBank,
+    cfg: ExperimentConfig,
+    n_pos: int,
+    n_neg: int,
+    window_s: float = 2.0,
+) -> list[MixedSample]:
+    """n_pos unit+noise mixtures at cfg.snr_db and n_neg pure-noise windows."""
+    sample = sample_builder(units, bank, cfg, n_pos, window_s)
+    return [sample(k) for k in range(n_pos + n_neg)]
 
 
 def synth_whale_unit(
@@ -253,6 +271,13 @@ def synth_whale_unit(
     return AudioClip(x, sample_rate)
 
 
+def _require_noise_rate(sample_rate: float) -> None:
+    if not sample_rate > 7200.0:
+        raise SynthError(
+            f"synthetic noise needs a sample_rate above 7200 Hz (chorus "
+            f"units reach 3600 Hz), got {sample_rate:g} Hz")
+
+
 def synth_noise(
     noise_type: str,
     duration_s: float,
@@ -263,7 +288,8 @@ def synth_noise(
 
     clean: very quiet white noise; wind: low-pass filtered white noise;
     rain: broadband white noise; traffic: slowly FM'd harmonic stack;
-    chorus: dense superposition of synthetic whale units.
+    chorus: dense superposition of synthetic whale units.  Every type
+    needs a sample rate above 7200 Hz, as chorus units reach 1200 x 3 Hz.
     """
     # imported here, not at module level: scipy.signal takes about a second
     # to import and no other command needs it
@@ -271,6 +297,7 @@ def synth_noise(
 
     if noise_type not in NOISE_TYPES:
         raise SynthError(f"unknown noise type: {noise_type}")
+    _require_noise_rate(sample_rate)
     rng = np.random.default_rng([NOISE_TYPES.index(noise_type), seed])
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
@@ -332,27 +359,21 @@ def synth_noise_bank(
     """Fully synthetic noise bank covering every supported type, its clips
     synthesized on the threads map_chunks chooses.
 
-    Needs a sample rate above 7200 Hz: chorus units reach 1200 x 3 Hz.
+    Needs a sample rate above 7200 Hz, checked before any thread starts.
     """
-    if not sample_rate > 7200.0:
-        raise SynthError(
-            f"the synthetic noise bank needs a sample_rate above 7200 Hz "
-            f"(chorus units reach 3600 Hz), got {sample_rate:g} Hz")
-    # clip-major (clean0, wind0, ..., chorus0, clean1, ...), so that
-    # contiguous chunks share out the costly traffic clips; each clip has
-    # its own seed, so the order cannot change a sample
-    jobs = [(nt, i) for i in range(clips_per_type) for nt in NOISE_TYPES]
-    clips = [None] * len(jobs)
+    _require_noise_rate(sample_rate)
+    clips = [None] * (len(NOISE_TYPES) * clips_per_type)
 
     def fill(indices) -> None:
-        for j in indices:
-            nt, i = jobs[j]
-            clips[j] = synth_noise(nt, duration_s, sample_rate,
+        for j in indices:  # clip i of type t is item t * clips_per_type + i
+            t, i = divmod(j, clips_per_type)
+            clips[j] = synth_noise(NOISE_TYPES[t], duration_s, sample_rate,
                                    seed=seed * 1000 + i)
 
-    map_chunks(fill, len(jobs))
-    return NoiseBank(entries={nt: clips[k::len(NOISE_TYPES)]
-                              for k, nt in enumerate(NOISE_TYPES)})
+    map_chunks(fill, len(clips))
+    return NoiseBank(entries={
+        nt: clips[t * clips_per_type:(t + 1) * clips_per_type]
+        for t, nt in enumerate(NOISE_TYPES)})
 
 
 def synth_unit_pool(
@@ -440,8 +461,14 @@ def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:
     return manifest
 
 
-def read_dataset(out_dir) -> tuple[list[AudioClip], np.ndarray]:
-    """Load clips and labels back from a written dataset directory."""
+def dataset_loader(out_dir) -> tuple[Callable[[int], AudioClip], np.ndarray]:
+    """A written dataset directory's labels, and the function that loads
+    sample i's WAV.
+
+    The manifest is parsed and every row's sample_id and integer label
+    checked here, before any WAV is read; the WAVs are read one at a time,
+    by the thread that asks for one.
+    """
     out_dir = Path(out_dir)
     manifest = out_dir / "manifest.csv"
     if not manifest.is_file():
@@ -451,15 +478,24 @@ def read_dataset(out_dir) -> tuple[list[AudioClip], np.ndarray]:
             rows = list(csv.DictReader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise SynthError(f"{manifest}: unreadable manifest: {exc}") from None
-    clips: list[AudioClip] = []
-    labels: list[np.int64] = []
-    for row in rows:
+    try:
+        paths = [out_dir / row["sample_id"] for row in rows]
+        labels = np.asarray([int(row["label"]) for row in rows],
+                            dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise SynthError(f"{manifest}: every row needs a sample_id "
+                         "and an integer label") from None
+
+    def load(i: int) -> AudioClip:
         try:
-            clips.append(load_wav(out_dir / row["sample_id"]))
-            labels.append(np.int64(int(row["label"])))
+            return load_wav(paths[i])
         except AudioError as exc:
             raise SynthError(f"dataset sample unreadable: {exc}") from exc
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise SynthError(f"{manifest}: every row needs a sample_id "
-                             "and an integer label") from None
-    return clips, np.asarray(labels, dtype=np.int64)
+
+    return load, labels
+
+
+def read_dataset(out_dir) -> tuple[list[AudioClip], np.ndarray]:
+    """Load clips and labels back from a written dataset directory."""
+    load, labels = dataset_loader(out_dir)
+    return [load(i) for i in range(len(labels))], labels

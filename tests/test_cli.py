@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,16 +15,20 @@ from scipy.io import wavfile
 
 from whaledet import evaluate as ev
 from whaledet import parallel
+from whaledet.audio import load_wav
 from whaledet.cli import PipelineConfig, main
 from whaledet.cnn import FcLayer, save_network, tiny_vgg
 from whaledet.features import (
     FeatureError,
+    featurize_clips,
     load_features,
     load_labels,
     save_features,
     save_labels,
 )
+from whaledet.spectrogram import StftParams
 from whaledet.svm import SvmModel, save_model
+from whaledet.synth import read_dataset
 
 # a numpy RuntimeWarning on any command's path fails its test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -288,19 +293,114 @@ def _set_jobs(monkeypatch, jobs):
                         _DEFAULT_JOBS if jobs is None else lambda: jobs)
 
 
+# the STFT geometry of FAST
+FAST_STFT = StftParams(segment_len=512, hop=256, fft_size=512)
+
+
 def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
                                            monkeypatch):
-    # cnn runs a conv GEMM per window inside each worker thread
+    # featurize reads each WAV on the thread that featurizes its row, and
+    # cnn runs a conv GEMM per window inside each worker thread; every
+    # thread count gives the bytes of featurizing the dataset read eagerly
     cfg, ds = small_dataset
-    for features in ("spectrogram", "cnn"):
-        outputs = []
-        for jobs in (None, 1, 3):
+    clips, _ = read_dataset(ds)
+    for features, network in (("spectrogram", None),
+                              ("cnn", tiny_vgg(seed=0, in_size=32))):
+        _set_jobs(monkeypatch, 1)
+        eager = tmp_path / f"{features}_eager.feat"
+        save_features(eager, featurize_clips(clips, network, FAST_STFT, 32))
+        for jobs in (None, 1, 2, 3):
             _set_jobs(monkeypatch, jobs)
-            feat = tmp_path / f"{features}_j{len(outputs)}.feat"
+            feat = tmp_path / f"{features}_j{jobs}.feat"
             assert main(["featurize", "--config", cfg, "--in", str(ds),
                          "--features", features, "--out", str(feat)]) == 0
-            outputs.append(feat.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2], features
+            assert feat.read_bytes() == eager.read_bytes(), (features, jobs)
+
+
+def _traced_peak(fn) -> int:
+    """The most bytes that fn's allocations held at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_featurize_of_a_dataset_holds_about_one_window_per_thread(
+        tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path, ["n_pos=20", "n_neg=20"])
+    ds = tmp_path / "ds"
+    assert main(["synth", "--config", cfg, "--experiment", "E6", "--snr",
+                 "0", "--out", str(ds)]) == 0
+    wav = ds / "sample_00000.wav"
+    clip = load_wav(wav)
+    featurize_clips([clip], None, FAST_STFT, 32)  # first-call allocations
+    one_clip = _traced_peak(lambda: load_wav(wav))
+    one_window = _traced_peak(
+        lambda: featurize_clips([clip], None, FAST_STFT, 32))
+    jobs = 2
+    _set_jobs(monkeypatch, jobs)
+    feat = tmp_path / "ds.feat"
+    peak = _traced_peak(lambda: main([
+        "featurize", "--config", cfg, "--in", str(ds), "--features",
+        "spectrogram", "--out", str(feat)]))
+    bound = 40 * 32 * 32 * 4 + (jobs + 2) * (one_clip + one_window)
+    assert peak < bound
+    # the bound leaves out what holding every clip at once would take
+    assert 40 * clip.samples.nbytes > bound
+
+
+@pytest.mark.parametrize("fault", ["missing", "non-finite", "other-rate"])
+def test_bad_dataset_row_exits_2_with_one_error_line(tmp_path, capsys,
+                                                     monkeypatch,
+                                                     small_dataset, fault):
+    # row 6 of 10 fails on its worker thread, possibly after other rows
+    # were featurized
+    cfg, ds = small_dataset
+    wav = ds / "sample_00006.wav"
+    if fault == "missing":
+        wav.unlink()
+    elif fault == "non-finite":
+        samples = np.zeros(16000, dtype=np.float32)
+        samples[7] = np.inf
+        wavfile.write(str(wav), 8000, samples)
+    else:
+        wavfile.write(str(wav), 16000, np.zeros(32000, dtype=np.float32))
+    _set_jobs(monkeypatch, 2)
+    feat = tmp_path / "f.feat"
+    try:
+        rc = main(["featurize", "--config", cfg, "--in", str(ds),
+                   "--features", "spectrogram", "--out", str(feat)])
+    except Exception as exc:  # the contract is an exit code, never a traceback
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if fault == "other-rate":
+        assert f"{ds}: audio at 16000 Hz, config sample_rate is 8000 Hz" \
+            in err[0]
+    else:
+        assert "sample_00006.wav" in err[0]
+    assert not feat.exists()
+    assert not feat.with_suffix(".labels.csv").exists()
+
+
+def test_manifest_faults_fail_before_any_wav_is_read(tmp_path, capsys,
+                                                     small_dataset):
+    # row 0's WAV is gone too, but the last row's label is named first
+    cfg, ds = small_dataset
+    (ds / "sample_00000.wav").unlink()
+    manifest = ds / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[-1] = lines[-1].replace(",0,", ",x,", 1)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(["featurize", "--config", cfg, "--in", str(ds),
+                 "--features", "spectrogram", "--out",
+                 str(tmp_path / "f.feat")]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.csv: every row needs a sample_id and an integer label" \
+        in err
 
 
 @pytest.mark.parametrize("dim", [6, 80], ids=["primal", "gram"])

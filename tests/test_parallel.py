@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -9,7 +10,6 @@ from whaledet.evaluate import run_monte_carlo
 from whaledet.parallel import (
     available_memory,
     cgroup_cpu_limit,
-    chunk_ranges,
     default_jobs,
     map_chunks,
     threads_within_memory,
@@ -33,15 +33,6 @@ def pools(monkeypatch):
     return sizes
 
 
-def test_chunk_ranges_cover_items_in_order():
-    assert chunk_ranges(5, 2) == [range(0, 3), range(3, 5)]
-    assert chunk_ranges(5, 3) == [range(0, 2), range(2, 4), range(4, 5)]
-    assert chunk_ranges(5, 8) == [range(i, i + 1) for i in range(5)]
-    assert chunk_ranges(0, 4) == [range(0, 0)]
-    with pytest.raises(ValueError):
-        chunk_ranges(3, 0)
-
-
 def set_jobs(monkeypatch, jobs):
     monkeypatch.setattr(parallel, "default_jobs", lambda: jobs)
 
@@ -54,15 +45,17 @@ def test_jobs_far_above_items_make_one_chunk_per_item(monkeypatch, pools):
         return list(indices)
 
     set_jobs(monkeypatch, 10**9)
-    assert map_chunks(work, 3) == [[0], [1], [2]]
-    assert pools == [3]
-    assert len(threads) <= 3
+    chunks = map_chunks(work, 3)
+    assert pools == [3]  # one thread per item, not one per job
+    assert sorted(i for chunk in chunks for i in chunk) == [0, 1, 2]
+    assert len(chunks) == 3 and len(threads) <= 3
 
 
-def test_one_chunk_runs_in_the_calling_thread(monkeypatch):
+def test_one_chunk_runs_in_the_calling_thread(monkeypatch, pools):
     set_jobs(monkeypatch, 1)
-    assert map_chunks(lambda r: threading.get_ident(), 4) == \
-        [threading.get_ident()]
+    assert map_chunks(lambda r: (threading.get_ident(), list(r)), 4) == \
+        [(threading.get_ident(), [0, 1, 2, 3])]
+    assert pools == []
 
 
 def test_failing_chunk_stops_the_others_and_its_error_surfaces(monkeypatch):
@@ -71,19 +64,55 @@ def test_failing_chunk_stops_the_others_and_its_error_surfaces(monkeypatch):
     def work(indices):
         seen = []
         for i in indices:
-            if i == 200:  # the first item of the second chunk
-                raise ValueError("fold 200 failed")
+            if i == 20:
+                raise ValueError("fold 20 failed")
             time.sleep(0.005)
             seen.append(i)
         done.append(len(seen))
-        if len(seen) < 200:  # cut short: the error this provokes is masked
+        if len(seen) < 380:  # cut short: the error this provokes is masked
             raise RuntimeError("chunk cut short")
         return seen
 
     set_jobs(monkeypatch, 2)
-    with pytest.raises(ValueError, match="fold 200 failed"):
+    with pytest.raises(ValueError, match="fold 20 failed"):
         map_chunks(work, 400)
-    assert len(done) == 1 and done[0] < 200
+    # the other thread took at most one more index after the failure
+    assert len(done) == 1 and done[0] <= 21
+
+
+def test_a_slow_thread_takes_fewer_items(monkeypatch):
+    # with a fixed split each thread would take 20 of the 40 items
+    taken = {}
+    lock = threading.Lock()
+
+    def work(indices):
+        with lock:  # the first thread to start is the slow one
+            slow = not taken
+            mine = taken.setdefault(threading.get_ident(), [])
+        for i in indices:
+            mine.append(i)
+            time.sleep(0.05 if slow else 0.001)
+
+    set_jobs(monkeypatch, 2)
+    map_chunks(work, 40)
+    counts = sorted(len(items) for items in taken.values())
+    assert sum(counts) == 40 and counts[0] < 10
+
+
+def test_every_index_goes_to_exactly_one_thread_under_contention(
+        monkeypatch):
+    # more threads than CPUs, switching after every few bytecodes: a lost
+    # update of the shared counter would repeat or drop an index
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        set_jobs(monkeypatch, 16)
+        start = time.monotonic()
+        chunks = map_chunks(list, 20000)
+        assert time.monotonic() - start < 60
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(20000))
 
 
 def test_cgroup_cpu_limit(tmp_path):
@@ -151,9 +180,10 @@ def test_monte_carlo_threads_keep_within_memory(monkeypatch, pools):
     rng = np.random.default_rng(0)
     labels = np.array([0, 1] * 30)
     X = rng.standard_normal((60, 200))
-    # a Gram-path fold (30 <= 200 + 1) holds its 30- and 20-row buffers and
-    # svm.train's three 30 x 30 matrices; no augmented 30 x 201 copy
-    thread_bytes = 8 * ((30 + 20) * 200 + 3 * 30 * 30)
+    # a Gram-path fold (30 <= 200 + 1) holds its 30-row buffer, which the
+    # 20 test rows reuse, and svm.train's three 30 x 30 matrices; no
+    # augmented 30 x 201 copy
+    thread_bytes = 8 * (30 * 200 + 3 * 30 * 30)
 
     def run(memory):
         monkeypatch.setattr(parallel, "available_memory", lambda: memory)
@@ -163,8 +193,8 @@ def test_monte_carlo_threads_keep_within_memory(monkeypatch, pools):
     set_jobs(monkeypatch, 4)
     serial = run(3 * thread_bytes)  # room for one thread
     assert pools == []
-    # room for two threads, and for one at a budget that also counted an
-    # augmented copy, 8 * (2 * 30 + 20) * 200 bytes a thread
+    # room for two threads, and for one at a budget that kept a separate
+    # test buffer, 8 * (30 + 20) * 200 bytes of buffers a thread
     assert np.array_equal(run(4 * thread_bytes), serial)
     assert pools == [2]
     assert np.array_equal(run(100 * thread_bytes), serial)

@@ -5,6 +5,8 @@ import pytest
 
 from whaledet import parallel, synth
 from whaledet.audio import AudioClip, mean_square_power, save_wav
+from whaledet.cnn import tiny_vgg
+from whaledet.features import LazyClips, featurize_clips
 from whaledet.spectrogram import StftParams, stft_magnitude
 from whaledet.synth import (
     NOISE_TYPES,
@@ -15,6 +17,7 @@ from whaledet.synth import (
     load_noise_bank,
     mix_at_snr,
     read_dataset,
+    sample_builder,
     snr_gain,
     synth_noise,
     synth_noise_bank,
@@ -108,6 +111,16 @@ def test_synth_noise_deterministic():
 def test_synth_noise_unknown_type():
     with pytest.raises(SynthError):
         synth_noise("volcano", 1.0, SR, seed=0)
+
+
+@pytest.mark.parametrize("rate", [700.0, 7200.0])
+@pytest.mark.parametrize("noise_type", NOISE_TYPES)
+def test_synth_noise_below_the_chorus_floor_names_the_rate(noise_type, rate):
+    # every type shares the bank's floor; below it wind's filter design
+    # raised scipy's ValueError and chorus named one of its unit frequencies
+    with pytest.raises(SynthError, match=f"needs a sample_rate above 7200 "
+                                         f"Hz .* got {rate:g} Hz"):
+        synth_noise(noise_type, 1.0, rate, seed=0)
 
 
 def _spectral_flatness(clip, f_max_hz):
@@ -354,3 +367,24 @@ def test_pool_and_bank_build_just_above_the_floor():
     assert len(synth_unit_pool(3, 1334.0)) == 3
     bank = synth_noise_bank(1.0, 1, 7201.0, seed=1)
     assert [len(clips) for clips in bank.entries.values()] == [1] * 5
+
+
+def test_lazy_cell_featurizes_like_the_eager_list(monkeypatch):
+    # criterion 6's E6 cell at -10 dB: sweep builds each window on the
+    # thread that featurizes it, from the samples build_experiment lists
+    units = synth_unit_pool(6, SR, seed=42)
+    bank = synth_noise_bank(6.0, 1, SR, seed=42)
+    cfg = ExperimentConfig("E6", -10.0, seed=1234)
+    featurize = dict(network=tiny_vgg(seed=0, in_size=32),
+                     params=StftParams(segment_len=512, hop=256,
+                                       fft_size=512), size=32)
+    monkeypatch.setattr(parallel, "default_jobs", lambda: 1)
+    samples = build_experiment(units, bank, cfg, 12, 12, window_s=2.0)
+    eager = featurize_clips([s.audio for s in samples], **featurize)
+    sample = sample_builder(units, bank, cfg, 12, window_s=2.0)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(parallel, "default_jobs", lambda: threads)
+        lazy = featurize_clips(LazyClips(24, lambda k: sample(k).audio),
+                               **featurize)
+        assert lazy.tobytes() == eager.tobytes(), threads
+    assert [s.label for s in samples] == [1] * 12 + [0] * 12
