@@ -29,13 +29,13 @@ from .audio import (
 from .cnn import NetworkError, load_network, tiny_vgg
 from .features import (
     FeatureError,
-    LazyClips,
     featurize_clips,
     load_features,
     load_labels,
     save_features,
     save_labels,
 )
+from .parallel import release_free_heap
 from .spectrogram import SpectrogramError, StftParams
 from .svm import SvmError
 from .synth import (
@@ -255,18 +255,17 @@ def cmd_featurize(args) -> int:
     if in_dir.is_dir():
         load, labels = dataset_loader(in_dir)
 
-        def clip(i: int):  # read on the thread that featurizes row i
-            c = load(i)
-            _require_sample_rate(cfg, [c], in_dir)
-            return c
-
-        clips = LazyClips(len(labels), clip)
+        def window(i: int):  # read on the thread that featurizes row i
+            clip = load(i)
+            _require_sample_rate(cfg, [clip], in_dir)
+            return clip
     else:
         recording = load_wav(in_dir)
         _require_sample_rate(cfg, [recording], in_dir)
-        clips = list(frame_windows(recording, cfg.window_s))
-        labels = np.full(len(clips), -1, dtype=np.int64)
-    X = _make_featurizer(cfg)(clips)
+        windows = frame_windows(recording, cfg.window_s)
+        window = windows.__getitem__
+        labels = np.full(len(windows), -1, dtype=np.int64)
+    X = _make_featurizer(cfg)(len(labels), window)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_features(out, X)
@@ -303,6 +302,9 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
+    # the pool and fold buffers then take fresh pages wherever earlier work
+    # in this process left free heap, so the peak does not hang on its layout
+    release_free_heap()
     X = load_features(args.feature_file)
     y = load_labels(args.labels)
     result = ev.run_monte_carlo(
@@ -325,9 +327,10 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             f"n_train + n_test ({cfg.n_train} + {cfg.n_test}) exceeds the "
             f"n_pos + n_neg ({cfg.n_pos} + {cfg.n_neg}) samples of each cell")
+    # the network and STFT geometry are checked before seconds of synthesis
+    featurize = _make_featurizer(cfg)
     units = _load_units(cfg, args.units)
     bank = _load_bank(cfg, args.bank)
-    featurize = _make_featurizer(cfg)
     cells = []
     for ei, exp in enumerate(experiments):
         for si, snr_db in enumerate(snrs):
@@ -339,7 +342,7 @@ def cmd_sweep(args) -> int:
                 cfg.n_pos, window_s=cfg.window_s)
             n = cfg.n_pos + cfg.n_neg
             result = ev.run_monte_carlo(
-                featurize(LazyClips(n, lambda k: sample(k).audio)),
+                featurize(n, lambda k: sample(k).audio),
                 np.arange(n) < cfg.n_pos, n_iter=cfg.n_iter,
                 n_train=cfg.n_train, n_test=cfg.n_test, seed=seed,
                 c_param=cfg.c_param, max_iter=cfg.svm_max_iter)

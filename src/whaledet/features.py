@@ -1,8 +1,9 @@
 """Window -> spectrogram -> image -> feature pipeline and feature-file IO.
 
-A row is the code vector of a network (CNN features) or, with no network,
-the flattened gray image (spectrogram features), so both representations
-can be compared on identical datasets.
+featurize_clips(n, window) turns the windows window(0) .. window(n - 1)
+into n feature rows.  A row is the code vector of a network (CNN features)
+or, with no network, the flattened gray image (spectrogram features), so
+both representations can be compared on identical datasets.
 
 Feature file format: u32 n_samples, u32 dim (little-endian), then n*dim
 float32 values row-major.  Labels travel in a sibling CSV (sample_index,label).
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from collections.abc import Sequence
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -29,58 +30,42 @@ class FeatureError(Exception):
 
 
 def featurize_clips(
-    clips: Sequence[AudioClip],
+    n: int,
+    window: Callable[[int], AudioClip],
     network: Network | None = None,
     params: StftParams | None = None,
     size: int = 256,
 ) -> np.ndarray:
-    """Little-endian float32 feature matrix (n_clips x dim) for a sequence
-    of analysis windows, each rendered as a size x size image, computed on
-    the threads map_chunks chooses.  Rows are the network's codes, or with
-    no network the image's pixels scaled to [0, 1], computed in float64 and
-    rounded once into the matrix, which save_features writes as it is.
+    """Little-endian float32 feature matrix (n x dim) for the analysis
+    windows window(0) .. window(n - 1), each rendered as a size x size
+    image, computed on the threads map_chunks chooses.  Rows are the
+    network's codes, or with no network the image's pixels scaled to
+    [0, 1], computed in float64 and rounded once into the matrix, which
+    save_features writes as it is.
 
-    clips needs only a length and an index: clips[i] is read once, on the
-    thread that fills row i, so a sequence that reads or builds window i
-    when indexed holds about one window per thread, not all of them."""
-    if not clips:
+    window(i) is called once, on the thread that fills row i, so a window
+    that is read or built when asked for holds about one window per thread
+    in memory, not all n of them."""
+    if n < 1:
         raise FeatureError("no clips to featurize")
     # Rows go straight into one matrix.  Kept as separate arrays until the
     # end, they sit in the heap among other windows' temporaries: on two
     # threads, the peak memory of featurizing 160 windows to 65 536-d rows
     # then rose by 50 MB in half the runs.
-    X = np.empty((len(clips),
-                  size * size if network is None else network.code_dim),
+    X = np.empty((n, size * size if network is None else network.code_dim),
                  dtype="<f4")
 
     def fill(indices) -> None:
         for i in indices:
-            image = to_image(stft_spectrogram(clips[i], params),
+            image = to_image(stft_spectrogram(window(i), params),
                              width=size, height=size)
             if network is None:
                 X[i] = image.astype(np.float64).ravel() / 255.0
             else:
                 X[i] = extract_code(network, image)
 
-    map_chunks(fill, len(clips))
+    map_chunks(fill, n)
     return X
-
-
-class LazyClips:
-    """A sequence of n clips whose clip i is make(i), called each time it
-    is indexed: what featurize_clips needs to read each window on its
-    worker thread."""
-
-    def __init__(self, n: int, make):
-        self._n, self._make = n, make
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> AudioClip:
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        return self._make(i)
 
 
 def save_features(path, X: np.ndarray) -> None:

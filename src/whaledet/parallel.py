@@ -13,6 +13,7 @@ example with taskset) lowers it.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -94,6 +95,15 @@ def available_memory(root: Path = CGROUP,
             continue
         break
     return max(room, 0)
+
+
+def release_free_heap() -> None:
+    """Hand the freed heap memory that glibc keeps resident back to the OS
+    (malloc_trim); nothing under a C library without it."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 def threads_within_memory(jobs: int, bytes_per_thread: int) -> int:

@@ -66,22 +66,6 @@ def stft_spectrogram(clip: AudioClip, params: StftParams | None = None) -> np.nd
     return 10.0 * np.log10(np.maximum(mag, DB_FLOOR))
 
 
-def gray_scale(values_db: np.ndarray) -> np.ndarray:
-    """Map a dB grid linearly from [min, max] onto [0, 255] (float).
-
-    A constant grid maps to all-128.  Monotonic: larger dB never maps to a
-    smaller gray level.
-    """
-    values_db = np.asarray(values_db, dtype=np.float64)
-    return _gray_levels(values_db, values_db.min(), values_db.max())
-
-
-def _gray_levels(values_db: np.ndarray, vmin, vmax) -> np.ndarray:
-    if vmax - vmin < 1e-30:
-        return np.full(values_db.shape, 128.0)
-    return (values_db - vmin) / (vmax - vmin) * 255.0
-
-
 def _bilinear_taps(n_in: int, n_out: int):
     """Endpoint-aligned sample positions: lower index, upper index, weight."""
     pos = np.linspace(0.0, n_in - 1.0, n_out) if n_out > 1 else \
@@ -90,35 +74,28 @@ def _bilinear_taps(n_in: int, n_out: int):
     return lo, np.clip(lo + 1, 0, n_in - 1), pos - lo
 
 
-def _blend(top: np.ndarray, bot: np.ndarray, wy: np.ndarray, width: int):
-    """Bilinear blend of the row pairs (top[k], bot[k]) onto `width` columns."""
-    x0, x1, wx = _bilinear_taps(top.shape[1], width)
-    wx, wy = wx[None, :], wy[:, None]
-    top = top[:, x0] * (1 - wx) + top[:, x1] * wx
-    bot = bot[:, x0] * (1 - wx) + bot[:, x1] * wx
-    return top * (1 - wy) + bot * wy
-
-
-def resize_bilinear(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Endpoint-aligned bilinear resize of a 2-D float grid."""
-    img = np.asarray(img, dtype=np.float64)
-    y0, y1, wy = _bilinear_taps(img.shape[0], height)
-    return _blend(img[y0], img[y1], wy, width)
-
-
 def to_image(values_db: np.ndarray, width: int = 256,
              height: int = 256) -> np.ndarray:
     """Render a dB grid as a uint8 image [height x width], row 0 at the top
     and low frequency at the bottom row.
 
-    Same pixels as resize_bilinear(gray_scale(grid)[::-1], ...), but only the
-    rows the resize reads are gray-scaled.
+    The grid maps linearly from [min, max] onto gray levels [0, 255] (a
+    constant grid is all 128), then an endpoint-aligned bilinear resize
+    blends across columns first, then across rows.  Only the rows the
+    resize reads are gray-scaled.  tests/naive_ref.py holds the whole-grid
+    gray_scale and resize_bilinear that these pixels must equal.
     """
     if values_db.size == 0:
         raise SpectrogramError("empty spectrogram")
-    flipped = values_db[::-1, :]  # bin 0 goes to the bottom
     vmin, vmax = values_db.min(), values_db.max()
+    if vmax - vmin < 1e-30:
+        return np.full((height, width), 128, dtype=np.uint8)
+    flipped = values_db[::-1, :]  # bin 0 goes to the bottom
     y0, y1, wy = _bilinear_taps(flipped.shape[0], height)
-    resized = _blend(_gray_levels(flipped[y0], vmin, vmax),
-                     _gray_levels(flipped[y1], vmin, vmax), wy, width)
+    x0, x1, wx = _bilinear_taps(flipped.shape[1], width)
+    wx, wy = wx[None, :], wy[:, None]
+    top, bot = ((flipped[y] - vmin) / (vmax - vmin) * 255.0 for y in (y0, y1))
+    top = top[:, x0] * (1 - wx) + top[:, x1] * wx
+    bot = bot[:, x0] * (1 - wx) + bot[:, x1] * wx
+    resized = top * (1 - wy) + bot * wy
     return np.clip(np.round(resized), 0, 255).astype(np.uint8)

@@ -38,6 +38,44 @@ def naive_dft_frame(segment, fft_size):
     return basis @ np.asarray(segment)
 
 
+def gray_scale(values_db):
+    """Map a dB grid linearly from [min, max] onto [0, 255] (float); a
+    constant grid maps to all-128."""
+    grid = np.asarray(values_db, dtype=np.float64)
+    lo, hi = grid.min(), grid.max()
+    if hi - lo < 1e-30:
+        return np.full(grid.shape, 128.0)
+    return (grid - lo) / (hi - lo) * 255.0
+
+
+def resize_bilinear(img, height, width):
+    """Endpoint-aligned bilinear resize of a 2-D float grid, one output row
+    at a time: each output row blends two input rows, each of them blended
+    across columns first, with a * (1 - w) + b * w throughout."""
+    img = np.asarray(img, dtype=np.float64)
+    n_rows, n_cols = img.shape
+
+    def positions(n_in, n_out):  # centred when one sample is asked for
+        if n_out == 1:
+            return [(n_in - 1) / 2.0]
+        return list(np.linspace(0.0, n_in - 1.0, n_out))
+
+    cols = positions(n_cols, width)
+    x0 = np.array([min(int(math.floor(p)), n_cols - 1) for p in cols])
+    x1 = np.minimum(x0 + 1, n_cols - 1)
+    wx = np.array(cols) - x0
+
+    out = np.zeros((height, width))
+    for i, p in enumerate(positions(n_rows, height)):
+        y0 = min(int(math.floor(p)), n_rows - 1)
+        y1 = min(y0 + 1, n_rows - 1)
+        wy = p - y0
+        top = img[y0, x0] * (1 - wx) + img[y0, x1] * wx
+        bot = img[y1, x0] * (1 - wx) + img[y1, x1] * wx
+        out[i] = top * (1 - wy) + bot * wy
+    return out
+
+
 def naive_conv(x, weights, bias, stride, pad):
     """Six-nested-loop cross-correlation with ReLU."""
     out_ch, in_ch, kh, kw = weights.shape

@@ -272,6 +272,27 @@ def test_sweep_split_larger_than_cell_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, flags", [
+    ("hop=256", ["--network", "missing.cnnw"]),
+    ("hop=1024", []),  # over segment_len=512
+])
+def test_sweep_checks_its_featurizer_before_synthesis(tmp_path, capsys,
+                                                      monkeypatch, setting,
+                                                      flags):
+    # a missing network file or an STFT geometry that cannot run fails
+    # before the unit pool and the noise bank are synthesized
+    calls = []
+    monkeypatch.setattr("whaledet.cli.synth_unit_pool",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _cfg(tmp_path, SMALL_SWEEP + [setting]),
+                 *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\nseed=9\nfeatures=spectrogram\nsnr_values=0,5\n")
@@ -308,7 +329,8 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
                               ("cnn", tiny_vgg(seed=0, in_size=32))):
         _set_jobs(monkeypatch, 1)
         eager = tmp_path / f"{features}_eager.feat"
-        save_features(eager, featurize_clips(clips, network, FAST_STFT, 32))
+        save_features(eager, featurize_clips(len(clips), clips.__getitem__,
+                                             network, FAST_STFT, 32))
         for jobs in (None, 1, 2, 3):
             _set_jobs(monkeypatch, jobs)
             feat = tmp_path / f"{features}_j{jobs}.feat"
@@ -335,10 +357,11 @@ def test_featurize_of_a_dataset_holds_about_one_window_per_thread(
                  "0", "--out", str(ds)]) == 0
     wav = ds / "sample_00000.wav"
     clip = load_wav(wav)
-    featurize_clips([clip], None, FAST_STFT, 32)  # first-call allocations
+    # first-call allocations
+    featurize_clips(1, lambda i: clip, None, FAST_STFT, 32)
     one_clip = _traced_peak(lambda: load_wav(wav))
     one_window = _traced_peak(
-        lambda: featurize_clips([clip], None, FAST_STFT, 32))
+        lambda: featurize_clips(1, lambda i: clip, None, FAST_STFT, 32))
     jobs = 2
     _set_jobs(monkeypatch, jobs)
     feat = tmp_path / "ds.feat"

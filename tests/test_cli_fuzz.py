@@ -3,10 +3,15 @@ ends in exit 1 (usage) or 2 (data), or in exit 0 with finite numbers in the
 output file, never in a traceback.
 
 featurize runs on a one-second 8 kHz WAV and evaluate on a 40-row feature
-file.  Sizes stay small (FFTs of at most 1024 points, images of at most
-64 px), so no example asks for a large allocation.
+file.  synth and sweep run on a grid of one cell: two units, 3-s noise clips,
+four windows of each class and one fold, at rates on both sides of the
+synthetic noise bank's 7200 Hz floor.  Sizes stay small (FFTs of at most
+1024 points, images of at most 64 px), so no example asks for a large
+allocation.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -19,6 +24,8 @@ from whaledet.cli import main
 from whaledet.features import load_features, save_features, save_labels
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True)
+# each example synthesizes a unit pool and a noise bank
+FUZZ_SYNTHESIS = settings(max_examples=30, deadline=None, derandomize=True)
 
 # values that no setting accepts; integer keys take 0 and negatives, but
 # 0 is a seed
@@ -90,3 +97,77 @@ def test_drawn_settings_exit_cleanly(inputs, drawn):
              str(inputs / "pool.labels.csv")], result) == 0:
         row = result.read_text().splitlines()[1].split(",")
         assert all(math.isfinite(float(v)) for v in row[2:])
+
+
+# out-of-range values of a one-cell grid: images under the built-in
+# network's 11 px, windows under one sample or longer than the 3-s noise
+# clips, an SNR whose noise gain underflows, splits larger than the cell's
+# eight windows or too small to hold both classes, and a hop longer than
+# the segment
+BAD_GRID = {"sample_rate": [8000.5], "image_size": [10, 1],
+            "window_s": [1e-4, 4.0, math.inf], "snr_values": [7000, "nan"],
+            "experiments": ["E7", "E1,E1"], "hop": [1024], "n_train": [8, 1],
+            "n_test": [5, 1], "features": ["mfcc"], "seed": [-1]}
+
+
+@st.composite
+def grid_settings(draw):
+    """Settings of a one-cell grid in range, with zero to two of them
+    replaced by a bad value."""
+    geometry = draw(st.lists(st.integers(2, 512), min_size=3, max_size=3))
+    values = dict(zip(("hop", "segment_len", "fft_size"), sorted(geometry)))
+    values.update(
+        # both sides of the synthetic noise bank's 7200 Hz floor
+        sample_rate=draw(st.sampled_from([8000, 7201, 7200, 1000])),
+        window_s=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        image_size=draw(st.integers(11, 16)),
+        features=draw(st.sampled_from(["cnn", "spectrogram"])),
+        experiments=draw(st.sampled_from(["E1", "E2", "E3", "E4", "E5",
+                                          "E6"])),
+        snr_values=draw(st.sampled_from([-10.0, 0.0, 10.0])),
+        n_train=draw(st.integers(2, 4)),
+        n_test=draw(st.integers(2, 4)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    for key in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+        values[key] = draw(st.sampled_from(BAD_GRID.get(key, [0, -1])))
+    return values
+
+
+def _run_quietly(argv):
+    """main's exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@FUZZ_SYNTHESIS
+@given(drawn=grid_settings())
+def test_drawn_grids_synthesize_and_sweep_cleanly(tmp_path_factory, drawn):
+    root = tmp_path_factory.mktemp("grid")
+    cfg = root / "run.cfg"
+    cfg.write_text(
+        "n_units=2\nbank_clip_s=3.0\nbank_clips_per_type=1\nn_pos=4\n"
+        "n_neg=4\nn_iter=1\nsvm_max_iter=50\n" + "".join(
+            f"{key}={value}\n" for key, value in drawn.items()))
+
+    rc, err = _run_quietly(["synth", "--config", str(cfg), "--out",
+                            str(root / "ds")])
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 0:
+        rows = (root / "ds" / "manifest.csv").read_text().splitlines()
+        assert len(rows) == 1 + 8
+    else:
+        assert err.strip()
+
+    rc, err = _run_quietly(["sweep", "--config", str(cfg), "--out",
+                            str(root / "sweep")])
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 0:
+        row = (root / "sweep" / "sweep_results.csv").read_text() \
+            .splitlines()[1].split(",")
+        assert all(math.isfinite(float(v)) for v in row[2:])
+    else:
+        assert err.strip()

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from naive_ref import naive_dft_frame, naive_dft_magnitudes
+from naive_ref import (
+    gray_scale,
+    naive_dft_frame,
+    naive_dft_magnitudes,
+    resize_bilinear,
+)
 from whaledet.audio import AudioClip
 from whaledet.spectrogram import (
     SpectrogramError,
     StftParams,
-    gray_scale,
-    resize_bilinear,
     stft_magnitude,
     stft_spectrogram,
     to_image,
@@ -90,8 +93,7 @@ def test_constant_spectrogram_maps_to_128():
 
 def test_two_valued_grid_maps_to_endpoints():
     grid = np.array([[-80.0, -20.0], [-20.0, -80.0]])
-    scaled = gray_scale(grid)
-    assert set(np.unique(scaled)) == {0.0, 255.0}
+    assert set(np.unique(to_image(grid, width=2, height=2))) == {0, 255}
 
 
 def test_image_is_256x256_from_default_grid():
@@ -104,9 +106,10 @@ def test_image_is_256x256_from_default_grid():
 def test_gray_scale_monotone():
     rng = np.random.default_rng(6)
     grid = rng.uniform(-90, -10, (16, 16))
-    scaled = gray_scale(grid)
+    # at the grid's own size the resize reads each cell with weight 0 to
+    # its neighbour, so pixel (i, j) is cell (15 - i, j) gray-scaled
     flat_db = grid.ravel()
-    flat_px = scaled.ravel()
+    flat_px = to_image(grid, width=16, height=16)[::-1].ravel()
     order = np.argsort(flat_db)
     assert (np.diff(flat_px[order]) >= 0).all()
 
@@ -128,8 +131,8 @@ def test_resize_bilinear_identity_and_average():
 
 def test_to_image_matches_gray_scale_then_resize():
     # to_image gray-scales only the rows the resize reads; the pixels must
-    # equal those of the whole-grid composition, for shrinking, growing and
-    # constant grids alike
+    # equal those of the whole-grid composition of the oracles in
+    # naive_ref, for shrinking, growing and constant grids alike
     rng = np.random.default_rng(5)
     grids = [rng.normal(-40.0, 20.0, (1025, 171)),
              rng.normal(0.0, 1.0, (7, 5)), np.full((9, 4), -3.0)]
