@@ -29,10 +29,11 @@ from .audio import (
 from .cnn import NetworkError, load_network, tiny_vgg
 from .features import (
     FeatureError,
+    FeatureWriter,
+    feature_dim,
     featurize_clips,
     load_features,
     load_labels,
-    save_features,
     save_labels,
 )
 from .parallel import release_free_heap
@@ -186,12 +187,15 @@ def _write_run_config(out_dir: Path, cfg: PipelineConfig, command: str) -> None:
 
 
 def _make_featurizer(cfg: PipelineConfig):
+    """featurize(n, window, out) for cfg, and the length of its rows."""
     network = None
     if cfg.features == "cnn":
         network = (load_network(cfg.network) if cfg.network
                    else tiny_vgg(seed=0, in_size=cfg.image_size))
-    return functools.partial(featurize_clips, network=network,
-                             params=cfg.stft_params(), size=cfg.image_size)
+    featurize = functools.partial(featurize_clips, network=network,
+                                  params=cfg.stft_params(),
+                                  size=cfg.image_size)
+    return featurize, feature_dim(network, cfg.image_size)
 
 
 def _require_sample_rate(cfg: PipelineConfig, clips, source) -> None:
@@ -265,12 +269,14 @@ def cmd_featurize(args) -> int:
         windows = frame_windows(recording, cfg.window_s)
         window = windows.__getitem__
         labels = np.full(len(windows), -1, dtype=np.int64)
-    X = _make_featurizer(cfg)(len(labels), window)
+    featurize, dim = _make_featurizer(cfg)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_features(out, X)
+    # opened before any window is read; each row goes to the file as it is
+    # computed
+    with FeatureWriter(out, len(labels), dim) as rows:
+        featurize(len(labels), window, rows)
     save_labels(out.with_suffix(".labels.csv"), labels)
-    print(f"wrote {X.shape[0]}x{X.shape[1]} features to {out}")
+    print(f"wrote {len(labels)}x{dim} features to {out}")
     return EXIT_OK
 
 
@@ -328,7 +334,7 @@ def cmd_sweep(args) -> int:
             f"n_train + n_test ({cfg.n_train} + {cfg.n_test}) exceeds the "
             f"n_pos + n_neg ({cfg.n_pos} + {cfg.n_neg}) samples of each cell")
     # the network and STFT geometry are checked before seconds of synthesis
-    featurize = _make_featurizer(cfg)
+    featurize, dim = _make_featurizer(cfg)
     units = _load_units(cfg, args.units)
     bank = _load_bank(cfg, args.bank)
     cells = []
@@ -342,7 +348,8 @@ def cmd_sweep(args) -> int:
                 cfg.n_pos, window_s=cfg.window_s)
             n = cfg.n_pos + cfg.n_neg
             result = ev.run_monte_carlo(
-                featurize(n, lambda k: sample(k).audio),
+                featurize(n, lambda k: sample(k).audio,
+                          np.empty((n, dim), dtype="<f4")),
                 np.arange(n) < cfg.n_pos, n_iter=cfg.n_iter,
                 n_train=cfg.n_train, n_test=cfg.n_test, seed=seed,
                 c_param=cfg.c_param, max_iter=cfg.svm_max_iter)

@@ -1,9 +1,9 @@
 """Window -> spectrogram -> image -> feature pipeline and feature-file IO.
 
-featurize_clips(n, window) turns the windows window(0) .. window(n - 1)
-into n feature rows.  A row is the code vector of a network (CNN features)
-or, with no network, the flattened gray image (spectrogram features), so
-both representations can be compared on identical datasets.
+featurize_clips(n, window, out) turns the windows window(0) .. window(n - 1)
+into the n feature rows of out.  A row is the code vector of a network
+(CNN features) or, with no network, the flattened gray image (spectrogram
+features), so both representations can be compared on identical datasets.
 
 Feature file format: u32 n_samples, u32 dim (little-endian), then n*dim
 float32 values row-major.  Labels travel in a sibling CSV (sample_index,label).
@@ -29,54 +29,113 @@ class FeatureError(Exception):
     pass
 
 
+def feature_dim(network: Network | None, size: int) -> int:
+    """The length of a feature row: the network's code, or with no network
+    the size x size image's pixels."""
+    return size * size if network is None else network.code_dim
+
+
 def featurize_clips(
     n: int,
     window: Callable[[int], AudioClip],
+    out: np.ndarray | FeatureWriter,
     network: Network | None = None,
     params: StftParams | None = None,
     size: int = 256,
-) -> np.ndarray:
-    """Little-endian float32 feature matrix (n x dim) for the analysis
-    windows window(0) .. window(n - 1), each rendered as a size x size
-    image, computed on the threads map_chunks chooses.  Rows are the
-    network's codes, or with no network the image's pixels scaled to
-    [0, 1], computed in float64 and rounded once into the matrix, which
-    save_features writes as it is.
+) -> np.ndarray | FeatureWriter:
+    """Feature rows for the analysis windows window(0) .. window(n - 1),
+    each rendered as a size x size image, computed on the threads
+    map_chunks chooses; row i is assigned as out[i] = row, and out is
+    returned.  Rows are the network's codes, or with no network the
+    image's pixels scaled to [0, 1], computed in float64 and rounded once
+    on assignment.
+
+    out has shape (n, feature_dim(network, size)).  It is an array, such
+    as the float32 pool that sweep's folds read, or a FeatureWriter, which
+    writes each row to its file as it is assigned, so that no n x dim
+    matrix is held in memory.
 
     window(i) is called once, on the thread that fills row i, so a window
     that is read or built when asked for holds about one window per thread
     in memory, not all n of them."""
     if n < 1:
         raise FeatureError("no clips to featurize")
-    # Rows go straight into one matrix.  Kept as separate arrays until the
-    # end, they sit in the heap among other windows' temporaries: on two
-    # threads, the peak memory of featurizing 160 windows to 65 536-d rows
-    # then rose by 50 MB in half the runs.
-    X = np.empty((n, size * size if network is None else network.code_dim),
-                 dtype="<f4")
 
     def fill(indices) -> None:
         for i in indices:
             image = to_image(stft_spectrogram(window(i), params),
                              width=size, height=size)
             if network is None:
-                X[i] = image.astype(np.float64).ravel() / 255.0
+                out[i] = image.astype(np.float64).ravel() / 255.0
             else:
-                X[i] = extract_code(network, image)
+                out[i] = extract_code(network, image)
 
     map_chunks(fill, n)
-    return X
+    return out
+
+
+class FeatureWriter:
+    """A feature file written row by row: writer[i] = row rounds row once
+    to little-endian float32 and writes it at byte 8 + 4 * dim * i, with
+    one pwrite on one descriptor, so threads may write rows in any order.
+
+    As a context manager it writes into a temporary sibling of path:
+    entering writes the header, leaving renames the file to path, or on
+    any exception (MemoryError and KeyboardInterrupt too) removes it, so a
+    run that fails leaves no feature file.
+    """
+
+    def __init__(self, path, n: int, dim: int):
+        self.path = Path(path)
+        self.shape = (n, dim)
+        if max(n, dim) >= 2 ** 32:
+            raise FeatureError(f"{self.path}: {n} x {dim} features do not "
+                               "fit the u32 header of a feature file")
+        self._tmp = self.path.with_name(
+            f".{self.path.name}.{os.getpid()}.tmp")
+
+    def __enter__(self) -> "FeatureWriter":
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                           0o666)
+        try:
+            self._pwrite(struct.pack("<II", *self.shape), 0)
+        except BaseException:
+            self._close(keep=False)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._close(keep=exc_type is None)
+
+    def __setitem__(self, i: int, row) -> None:
+        dim = self.shape[1]
+        self._pwrite(np.ascontiguousarray(row, dtype="<f4").reshape(dim),
+                     8 + 4 * dim * i)
+
+    def _pwrite(self, data, offset: int) -> None:
+        size = memoryview(data).nbytes
+        written = os.pwrite(self._fd, data, offset)
+        if written != size:  # a full disk, for one
+            raise FeatureError(f"{self.path}: short write, {written} of "
+                               f"{size} bytes at byte {offset}")
+
+    def _close(self, keep: bool) -> None:
+        try:
+            os.close(self._fd)
+            if keep:
+                os.replace(self._tmp, self.path)
+        finally:
+            self._tmp.unlink(missing_ok=True)
 
 
 def save_features(path, X: np.ndarray) -> None:
-    # written from the buffer of X when it is little-endian row-major
-    # float32 already, else from one such copy
-    X = np.ascontiguousarray(X, dtype="<f4")
+    X = np.asarray(X)
     if X.ndim != 2:
         raise FeatureError("feature matrix must be 2-D")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", X.shape[0], X.shape[1]))
-        fh.write(X)
+    with FeatureWriter(path, *X.shape) as out:
+        for i, row in enumerate(X):
+            out[i] = row
 
 
 def load_features(path) -> np.ndarray:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,13 +14,15 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from whaledet import cli, parallel
 from whaledet import evaluate as ev
-from whaledet import parallel
 from whaledet.audio import load_wav
 from whaledet.cli import PipelineConfig, main
 from whaledet.cnn import FcLayer, save_network, tiny_vgg
 from whaledet.features import (
     FeatureError,
+    FeatureWriter,
+    feature_dim,
     featurize_clips,
     load_features,
     load_labels,
@@ -329,8 +332,9 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
                               ("cnn", tiny_vgg(seed=0, in_size=32))):
         _set_jobs(monkeypatch, 1)
         eager = tmp_path / f"{features}_eager.feat"
+        pool = np.empty((len(clips), feature_dim(network, 32)), "<f4")
         save_features(eager, featurize_clips(len(clips), clips.__getitem__,
-                                             network, FAST_STFT, 32))
+                                             pool, network, FAST_STFT, 32))
         for jobs in (None, 1, 2, 3):
             _set_jobs(monkeypatch, jobs)
             feat = tmp_path / f"{features}_j{jobs}.feat"
@@ -349,29 +353,135 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_featurize_of_a_dataset_holds_about_one_window_per_thread(
-        tmp_path, monkeypatch):
-    cfg = _cfg(tmp_path, ["n_pos=20", "n_neg=20"])
+def _featurize_peak(tmp_path, monkeypatch, n_per_class, size):
+    """The traced peak of featurizing an n_per_class + n_per_class dataset
+    to size x size spectrogram rows on 2 threads, the bound of 4 clips
+    and 4 windows' peaks that it must stay under, and one clip."""
+    cfg = _cfg(tmp_path, [f"n_pos={n_per_class}", f"n_neg={n_per_class}",
+                          f"image_size={size}"])
     ds = tmp_path / "ds"
     assert main(["synth", "--config", cfg, "--experiment", "E6", "--snr",
                  "0", "--out", str(ds)]) == 0
     wav = ds / "sample_00000.wav"
     clip = load_wav(wav)
-    # first-call allocations
-    featurize_clips(1, lambda i: clip, None, FAST_STFT, 32)
+
+    def one_window():
+        featurize_clips(1, lambda i: clip, np.empty((1, size * size), "<f4"),
+                        None, FAST_STFT, size)
+
+    one_window()  # first-call allocations
     one_clip = _traced_peak(lambda: load_wav(wav))
-    one_window = _traced_peak(
-        lambda: featurize_clips(1, lambda i: clip, None, FAST_STFT, 32))
+    window_peak = _traced_peak(one_window)
     jobs = 2
     _set_jobs(monkeypatch, jobs)
-    feat = tmp_path / "ds.feat"
     peak = _traced_peak(lambda: main([
         "featurize", "--config", cfg, "--in", str(ds), "--features",
-        "spectrogram", "--out", str(feat)]))
-    bound = 40 * 32 * 32 * 4 + (jobs + 2) * (one_clip + one_window)
+        "spectrogram", "--out", str(tmp_path / "ds.feat")]))
+    return peak, (jobs + 2) * (one_clip + window_peak), clip
+
+
+def test_featurize_of_a_dataset_holds_about_one_window_per_thread(
+        tmp_path, monkeypatch):
+    peak, bound, clip = _featurize_peak(tmp_path, monkeypatch, 20, 32)
     assert peak < bound
     # the bound leaves out what holding every clip at once would take
     assert 40 * clip.samples.nbytes > bound
+
+
+def test_featurize_holds_no_feature_matrix(tmp_path, monkeypatch):
+    peak, bound, _ = _featurize_peak(tmp_path, monkeypatch, 50, 128)
+    assert peak < bound
+    # the bound leaves out the 100 x 16 384 float32 matrix
+    assert 100 * 128 * 128 * 4 > bound
+
+
+def _count_window_reads(monkeypatch, fail=None):
+    """The indices of the dataset rows that featurize reads, in a list that
+    grows as it reads them; reading row 6 raises fail when one is given."""
+    reads = []
+    real_loader = cli.dataset_loader
+
+    def loader(path):
+        load, labels = real_loader(path)
+
+        def counted(i):
+            reads.append(i)
+            if fail is not None and i == 6:
+                raise fail
+            return load(i)
+
+        return counted, labels
+
+    monkeypatch.setattr(cli, "dataset_loader", loader)
+    return reads
+
+
+def test_featurize_checks_its_output_path_before_any_window(
+        tmp_path, capsys, monkeypatch, small_dataset):
+    cfg, ds = small_dataset
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    before = set(tmp_path.iterdir())
+    reads = _count_window_reads(monkeypatch)
+    assert main(["featurize", "--config", cfg, "--in", str(ds),
+                 "--features", "spectrogram",
+                 "--out", str(plain / "x.feat")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert reads == []
+    assert set(tmp_path.iterdir()) == before
+    assert plain.read_text() == ""
+
+
+def test_rows_too_long_for_the_header_exit_2_before_any_window(
+        tmp_path, capsys, monkeypatch, small_dataset):
+    # 65 536 x 65 536 pixels: a row length of 2**32, past the u32 header
+    _, ds = small_dataset
+    cfg = _cfg(tmp_path, ["image_size=65536"])
+    reads = _count_window_reads(monkeypatch)
+    out_dir = tmp_path / "out"
+    assert main(["featurize", "--config", cfg, "--in", str(ds),
+                 "--features", "spectrogram",
+                 "--out", str(out_dir / "f.feat")]) == 2
+    assert "do not fit the u32 header" in capsys.readouterr().err
+    assert reads == []
+    assert not out_dir.exists()
+
+
+def test_featurize_short_write_exits_2_and_leaves_no_file(
+        tmp_path, capsys, monkeypatch, small_dataset):
+    # a full disk: os.pwrite writes part of a row and reports how much
+    cfg, ds = small_dataset
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    feat = out_dir / "f.feat"
+    real_pwrite = os.pwrite
+
+    def short_pwrite(fd, data, offset):
+        if offset == 0:  # the header
+            return real_pwrite(fd, data, offset)
+        return real_pwrite(fd, memoryview(data).cast("B")[:-4], offset)
+
+    monkeypatch.setattr(os, "pwrite", short_pwrite)
+    assert main(["featurize", "--config", cfg, "--in", str(ds),
+                 "--features", "spectrogram", "--out", str(feat)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {feat}: short write")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_memory_error_mid_featurize_exits_3_and_leaves_no_file(
+        tmp_path, capsys, monkeypatch, small_dataset):
+    cfg, ds = small_dataset
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    _set_jobs(monkeypatch, 2)
+    reads = _count_window_reads(monkeypatch, fail=MemoryError())
+    assert main(["featurize", "--config", cfg, "--in", str(ds),
+                 "--features", "spectrogram",
+                 "--out", str(out_dir / "f.feat")]) == 3
+    assert capsys.readouterr().err.startswith("out of memory: ")
+    assert 6 in reads
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("fault", ["missing", "non-finite", "other-rate"])
@@ -391,7 +501,9 @@ def test_bad_dataset_row_exits_2_with_one_error_line(tmp_path, capsys,
     else:
         wavfile.write(str(wav), 16000, np.zeros(32000, dtype=np.float32))
     _set_jobs(monkeypatch, 2)
-    feat = tmp_path / "f.feat"
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    feat = out_dir / "f.feat"
     try:
         rc = main(["featurize", "--config", cfg, "--in", str(ds),
                    "--features", "spectrogram", "--out", str(feat)])
@@ -405,8 +517,8 @@ def test_bad_dataset_row_exits_2_with_one_error_line(tmp_path, capsys,
             in err[0]
     else:
         assert "sample_00006.wav" in err[0]
-    assert not feat.exists()
-    assert not feat.with_suffix(".labels.csv").exists()
+    # no feature file, no labels and no temporary file
+    assert list(out_dir.iterdir()) == []
 
 
 def test_manifest_faults_fail_before_any_wav_is_read(tmp_path, capsys,
@@ -476,6 +588,34 @@ def test_save_features_writes_row_major(tmp_path):
     loaded = load_features(feat)
     assert loaded.dtype == np.float32 and loaded.shape == X.shape
     assert loaded.tobytes() == X.astype("<f4").tobytes()
+
+
+def test_feature_writer_takes_rows_from_many_threads(tmp_path):
+    # more threads than cores, switching often: each row lands at its own
+    # offset, so the file holds the bytes of writing the rows in order
+    X = np.random.default_rng(5).standard_normal((64, 257))
+    feat = tmp_path / "t.feat"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with FeatureWriter(feat, *X.shape) as out, \
+                ThreadPoolExecutor(max_workers=8) as pool:
+            def write(i):
+                out[i] = X[i]
+            list(pool.map(write, range(len(X)), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert feat.read_bytes() == (struct.pack("<II", *X.shape)
+                                 + X.astype("<f4").tobytes())
+    assert [p.name for p in tmp_path.iterdir()] == ["t.feat"]
+
+
+def test_feature_writer_interrupted_leaves_no_file(tmp_path):
+    feat = tmp_path / "t.feat"
+    with pytest.raises(KeyboardInterrupt), FeatureWriter(feat, 2, 3) as out:
+        out[0] = np.ones(3)
+        raise KeyboardInterrupt
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_features_short_read_is_a_feature_error(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from whaledet import parallel, synth
 from whaledet.audio import AudioClip, mean_square_power, save_wav
 from whaledet.cnn import tiny_vgg
-from whaledet.features import featurize_clips
+from whaledet.features import feature_dim, featurize_clips
 from whaledet.spectrogram import StftParams, stft_magnitude
 from whaledet.synth import (
     NOISE_TYPES,
@@ -380,10 +380,13 @@ def test_lazy_cell_featurizes_like_the_eager_list(monkeypatch):
                                        fft_size=512), size=32)
     monkeypatch.setattr(parallel, "default_jobs", lambda: 1)
     samples = build_experiment(units, bank, cfg, 12, 12, window_s=2.0)
-    eager = featurize_clips(24, lambda k: samples[k].audio, **featurize)
+    dim = feature_dim(featurize["network"], featurize["size"])
+    eager = featurize_clips(24, lambda k: samples[k].audio,
+                            np.empty((24, dim), "<f4"), **featurize)
     sample = sample_builder(units, bank, cfg, 12, window_s=2.0)
     for threads in (1, 2, 3):
         monkeypatch.setattr(parallel, "default_jobs", lambda: threads)
-        lazy = featurize_clips(24, lambda k: sample(k).audio, **featurize)
+        lazy = featurize_clips(24, lambda k: sample(k).audio,
+                               np.empty((24, dim), "<f4"), **featurize)
         assert lazy.tobytes() == eager.tobytes(), threads
     assert [s.label for s in samples] == [1] * 12 + [0] * 12
