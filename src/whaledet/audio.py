@@ -99,6 +99,25 @@ def save_wav(path, clip: AudioClip) -> None:
                   clip.samples.astype(np.float32))
 
 
+def require_makeable_dir(path) -> None:
+    """Raise NotADirectoryError, naming it, when the nearest existing
+    ancestor of path (or path itself) is not a directory, so that path
+    cannot be made a directory.  Creates nothing."""
+    p = Path(path)
+    while not p.exists() and p != p.parent:
+        p = p.parent
+    if not p.is_dir():
+        raise NotADirectoryError(
+            f"cannot create directory '{path}': '{p}' is not a directory")
+
+
+def make_dir(path) -> None:
+    """Create directory path and its missing parents, raising
+    require_makeable_dir's error when a file is in the way."""
+    require_makeable_dir(path)
+    Path(path).mkdir(parents=True, exist_ok=True)
+
+
 def normalize_unit(clip: AudioClip) -> AudioClip:
     """Peak-normalize so max |sample| == 1.  All-zero clips pass through."""
     if len(clip) == 0:

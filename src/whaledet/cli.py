@@ -25,6 +25,8 @@ from .audio import (
     SampleRateMismatchError,
     frame_windows,
     load_wav,
+    make_dir,
+    require_makeable_dir,
 )
 from .cnn import NetworkError, load_network, tiny_vgg
 from .features import (
@@ -46,6 +48,7 @@ from .synth import (
     build_experiment,
     dataset_loader,
     load_noise_bank,
+    require_noise,
     sample_builder,
     synth_noise_bank,
     synth_unit_pool,
@@ -179,7 +182,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _write_run_config(out_dir: Path, cfg: PipelineConfig, command: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     with open(out_dir / "run_config.txt", "w") as fh:
         fh.write(f"# command={command}\n")
         for line in cfg.to_lines():
@@ -224,10 +227,9 @@ def _load_bank(cfg: PipelineConfig, bank_dir: str | None):
     if bank_dir:
         bank = load_noise_bank(bank_dir)
         _require_sample_rate(
-            cfg, [c for clips in bank.entries.values() for c in clips],
-            bank_dir)
+            cfg, [c for clips in bank.values() for c in clips], bank_dir)
         # the rate is checked first, so the window below is in its samples
-        bank.require(bank.entries, int(round(cfg.window_s * cfg.sample_rate)))
+        require_noise(bank, bank, int(round(cfg.window_s * cfg.sample_rate)))
         return bank
     return synth_noise_bank(duration_s=cfg.bank_clip_s,
                             clips_per_type=cfg.bank_clips_per_type,
@@ -240,13 +242,15 @@ def cmd_synth(args) -> int:
     snrs = cfg.snr_list()
     if len(experiments) != 1 or len(snrs) != 1:
         raise UsageError("synth needs exactly one --experiment and one --snr")
+    out_dir = Path(args.out)
+    # a file in the way of --out is found before any sample is built
+    require_makeable_dir(out_dir)
     units = _load_units(cfg, args.units)
     bank = _load_bank(cfg, args.bank)
     ecfg = ExperimentConfig(experiment_id=experiments[0], snr_db=snrs[0],
                             seed=cfg.seed)
     samples = build_experiment(units, bank, ecfg, cfg.n_pos, cfg.n_neg,
                                window_s=cfg.window_s)
-    out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "synth")
     manifest = write_dataset(samples, out_dir, seed=cfg.seed)
     print(f"wrote {len(samples)} samples, manifest {manifest}")
@@ -335,6 +339,8 @@ def cmd_sweep(args) -> int:
             f"n_pos + n_neg ({cfg.n_pos} + {cfg.n_neg}) samples of each cell")
     # the network and STFT geometry are checked before seconds of synthesis
     featurize, dim = _make_featurizer(cfg)
+    out_dir = Path(args.out)
+    require_makeable_dir(out_dir)  # before any cell is built
     units = _load_units(cfg, args.units)
     bank = _load_bank(cfg, args.bank)
     cells = []
@@ -354,7 +360,6 @@ def cmd_sweep(args) -> int:
                 n_train=cfg.n_train, n_test=cfg.n_test, seed=seed,
                 c_param=cfg.c_param, max_iter=cfg.svm_max_iter)
             cells.append(replace(result, experiment_id=exp, snr_db=snr_db))
-    out_dir = Path(args.out)
     _write_run_config(out_dir, cfg, "sweep")
     ev.write_sweep_csv(cells, out_dir / "sweep_results.csv")
     ev.write_confusion_csv(cells, out_dir / "confusion_matrices.csv")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip
+from .audio import AudioClip, make_dir
 from .cnn import Network, extract_code
 from .parallel import map_chunks
 from .spectrogram import StftParams, stft_spectrogram, to_image
@@ -95,7 +95,7 @@ class FeatureWriter:
             f".{self.path.name}.{os.getpid()}.tmp")
 
     def __enter__(self) -> "FeatureWriter":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        make_dir(self.path.parent)
         self._fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
                            0o666)
         try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .audio import (
     AudioClip,
     AudioError,
     load_wav,
+    make_dir,
     mean_square_power,
     normalize_unit,
     save_wav,
@@ -44,23 +45,20 @@ class SynthError(Exception):
     pass
 
 
-@dataclass
-class NoiseBank:
-    """Noise clips grouped by type; every clip must cover >= one window."""
-
-    entries: dict[str, list[AudioClip]] = field(default_factory=dict)
-
-    def require(self, noise_types, window_len: int) -> None:
-        for nt in noise_types:
-            clips = self.entries.get(nt)
-            if not clips:
-                raise SynthError(f"noise bank has no clips of type '{nt}'")
-            for clip in clips:
-                if len(clip) < window_len:
-                    raise SynthError(
-                        f"noise clip of type '{nt}' is shorter "
-                        f"({len(clip)}) than one window ({window_len})"
-                    )
+def require_noise(bank: dict[str, list[AudioClip]], noise_types,
+                  window_len: int) -> None:
+    """Raise SynthError unless the bank (noise type -> clips) holds clips of
+    each type and every one of them covers a window."""
+    for nt in noise_types:
+        clips = bank.get(nt)
+        if not clips:
+            raise SynthError(f"noise bank has no clips of type '{nt}'")
+        for clip in clips:
+            if len(clip) < window_len:
+                raise SynthError(
+                    f"noise clip of type '{nt}' is shorter "
+                    f"({len(clip)}) than one window ({window_len})"
+                )
 
 
 @dataclass(frozen=True)
@@ -81,20 +79,15 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    unit_id: str
-    noise_type: str
-    noise_id: str
-    offset_samples: int
-    requested_snr_db: float
-    achieved_snr_db: float
-
-
-@dataclass(frozen=True)
 class MixedSample:
     audio: AudioClip  # one analysis window
     label: int  # whale=1, noise=0
-    provenance: Provenance
+    unit_id: str  # "" for a noise-only sample
+    noise_type: str
+    noise_id: str
+    offset_samples: int
+    requested_snr_db: float  # NaN for a noise-only sample
+    achieved_snr_db: float  # NaN for a noise-only sample
 
 
 def snr_gain(signal_power: float, noise_power: float, snr_db: float) -> float:
@@ -155,11 +148,12 @@ def _unit_window(unit: AudioClip, window_len: int, rng) -> AudioClip:
     return AudioClip(buf, unit.sample_rate_hz)
 
 
-def _noise_window(bank: NoiseBank, noise_types, window_len: int, rng):
+def _noise_window(bank: dict[str, list[AudioClip]], noise_types,
+                  window_len: int, rng):
     nt = noise_types[int(rng.integers(0, len(noise_types)))]
-    clips = bank.entries[nt]
+    clips = bank[nt]
     ci = int(rng.integers(0, len(clips)))
-    clip = clips[ci]  # NoiseBank.require has checked it covers a window
+    clip = clips[ci]  # require_noise has checked it covers a window
     offset = int(rng.integers(0, len(clip) - window_len + 1))
     seg = AudioClip(clip.samples[offset : offset + window_len],
                     clip.sample_rate_hz)
@@ -168,7 +162,7 @@ def _noise_window(bank: NoiseBank, noise_types, window_len: int, rng):
 
 def sample_builder(
     units: list[AudioClip],
-    bank: NoiseBank,
+    bank: dict[str, list[AudioClip]],
     cfg: ExperimentConfig,
     n_pos: int,
     window_s: float = 2.0,
@@ -183,8 +177,8 @@ def sample_builder(
         raise SynthError("no sound units provided")
     sr = units[0].sample_rate_hz
     window_len = int(round(window_s * sr))
-    bank.require(cfg.noise_types, window_len)
-    noise = [c for nt in cfg.noise_types for c in bank.entries[nt]]
+    require_noise(bank, cfg.noise_types, window_len)
+    noise = [c for nt in cfg.noise_types for c in bank[nt]]
     rates = {c.sample_rate_hz for c in [*units, *noise]} - {sr}
     if rates:
         raise SynthError(
@@ -205,18 +199,16 @@ def sample_builder(
             audio, achieved = mix_at_snr(sig, audio, cfg.snr_db)
             unit_id, requested = f"unit_{ui:04d}", cfg.snr_db
         return MixedSample(
-            audio=audio, label=int(positive),
-            provenance=Provenance(
-                unit_id=unit_id, noise_type=nt, noise_id=f"{nt}_{ci:04d}",
-                offset_samples=offset, requested_snr_db=requested,
-                achieved_snr_db=achieved))
+            audio=audio, label=int(positive), unit_id=unit_id,
+            noise_type=nt, noise_id=f"{nt}_{ci:04d}", offset_samples=offset,
+            requested_snr_db=requested, achieved_snr_db=achieved)
 
     return sample
 
 
 def build_experiment(
     units: list[AudioClip],
-    bank: NoiseBank,
+    bank: dict[str, list[AudioClip]],
     cfg: ExperimentConfig,
     n_pos: int,
     n_neg: int,
@@ -355,9 +347,9 @@ def synth_noise_bank(
     clips_per_type: int = 2,
     sample_rate: float = 44100.0,
     seed: int = 0,
-) -> NoiseBank:
-    """Fully synthetic noise bank covering every supported type, its clips
-    synthesized on the threads map_chunks chooses.
+) -> dict[str, list[AudioClip]]:
+    """Fully synthetic noise bank (noise type -> clips) covering every
+    supported type, its clips synthesized on the threads map_chunks chooses.
 
     Needs a sample rate above 7200 Hz, checked before any thread starts.
     """
@@ -371,9 +363,8 @@ def synth_noise_bank(
                                    seed=seed * 1000 + i)
 
     map_chunks(fill, len(clips))
-    return NoiseBank(entries={
-        nt: clips[t * clips_per_type:(t + 1) * clips_per_type]
-        for t, nt in enumerate(NOISE_TYPES)})
+    return {nt: clips[t * clips_per_type:(t + 1) * clips_per_type]
+            for t, nt in enumerate(NOISE_TYPES)}
 
 
 def synth_unit_pool(
@@ -426,23 +417,23 @@ MANIFEST_FIELDS = (
 )
 
 
-def load_noise_bank(root) -> NoiseBank:
-    """Read bank/<noise_type>/*.wav into a NoiseBank."""
+def load_noise_bank(root) -> dict[str, list[AudioClip]]:
+    """Read bank/<noise_type>/*.wav into a noise bank (noise type -> clips)."""
     root = Path(root)
     if not root.is_dir():
         raise SynthError(f"noise bank directory not found: {root}")
-    entries: dict[str, list[AudioClip]] = {}
+    bank = {}
     for nt_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         clips = [load_wav(p) for p in sorted(nt_dir.glob("*.wav"))]
         if clips:
-            entries[nt_dir.name] = clips
-    return NoiseBank(entries=entries)
+            bank[nt_dir.name] = clips
+    return bank
 
 
 def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:
     """Write sample WAVs plus a manifest CSV; returns the manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     manifest = out_dir / "manifest.csv"
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -450,12 +441,11 @@ def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:
         for k, s in enumerate(samples):
             wav_name = f"sample_{k:05d}.wav"
             save_wav(out_dir / wav_name, s.audio)
-            p = s.provenance
             writer.writerow([
-                wav_name, s.label, p.unit_id, p.noise_type, p.noise_id,
-                p.offset_samples,
-                "" if math.isnan(p.requested_snr_db) else f"{p.requested_snr_db:.6f}",
-                "" if math.isnan(p.achieved_snr_db) else f"{p.achieved_snr_db:.9f}",
+                wav_name, s.label, s.unit_id, s.noise_type, s.noise_id,
+                s.offset_samples,
+                "" if math.isnan(s.requested_snr_db) else f"{s.requested_snr_db:.6f}",
+                "" if math.isnan(s.achieved_snr_db) else f"{s.achieved_snr_db:.9f}",
                 seed,
             ])
     return manifest
@@ -493,9 +483,3 @@ def dataset_loader(out_dir) -> tuple[Callable[[int], AudioClip], np.ndarray]:
             raise SynthError(f"dataset sample unreadable: {exc}") from exc
 
     return load, labels
-
-
-def read_dataset(out_dir) -> tuple[list[AudioClip], np.ndarray]:
-    """Load clips and labels back from a written dataset directory."""
-    load, labels = dataset_loader(out_dir)
-    return [load(i) for i in range(len(labels))], labels

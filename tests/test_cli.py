@@ -31,7 +31,7 @@ from whaledet.features import (
 )
 from whaledet.spectrogram import StftParams
 from whaledet.svm import SvmModel, save_model
-from whaledet.synth import read_dataset
+from whaledet.synth import dataset_loader
 
 # a numpy RuntimeWarning on any command's path fails its test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -327,7 +327,8 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
     # cnn runs a conv GEMM per window inside each worker thread; every
     # thread count gives the bytes of featurizing the dataset read eagerly
     cfg, ds = small_dataset
-    clips, _ = read_dataset(ds)
+    load, labels = dataset_loader(ds)
+    clips = [load(i) for i in range(len(labels))]
     for features, network in (("spectrogram", None),
                               ("cnn", tiny_vgg(seed=0, in_size=32))):
         _set_jobs(monkeypatch, 1)
@@ -426,8 +427,35 @@ def test_featurize_checks_its_output_path_before_any_window(
     assert main(["featurize", "--config", cfg, "--in", str(ds),
                  "--features", "spectrogram",
                  "--out", str(plain / "x.feat")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot create directory '{plain}': '{plain}' is not a "
+        f"directory"]
     assert reads == []
+    assert set(tmp_path.iterdir()) == before
+    assert plain.read_text() == ""
+
+
+@pytest.mark.parametrize("command, out", [
+    ("synth", "plain"),
+    ("synth", "plain/ds"),
+    ("sweep", "plain"),
+    ("sweep", "plain/sw"),
+])
+def test_out_through_a_regular_file_is_named_before_any_sample(
+        tmp_path, capsys, monkeypatch, command, out):
+    # featurize's case is the test above; SMALL_SWEEP holds one cell
+    cfg = _cfg(tmp_path, SMALL_SWEEP)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    before = set(tmp_path.iterdir())
+    built = []
+    for name in ("build_experiment", "sample_builder"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: built.append(args))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot create directory '{tmp_path / out}': '{plain}' is "
+        f"not a directory"]
+    assert built == []
     assert set(tmp_path.iterdir()) == before
     assert plain.read_text() == ""
 
@@ -659,6 +687,24 @@ def test_featurize_matches_golden_digests(tmp_path, features):
     assert main(["featurize", "--in", str(wav), "--features", features,
                  "--out", str(feat)]) == 0
     assert _sha256(feat) == digests[f"{features}.feat"]
+
+
+def test_synth_matches_golden_digests(tmp_path):
+    # criterion 6's geometry, E6 at 0 dB, seed 42: every file synth writes
+    golden = Path(__file__).parent / "data" / "synth_golden" / "SHA256SUMS"
+    digests = {name: digest for digest, name in
+               (line.split() for line in golden.read_text().splitlines())}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([
+        "sample_rate=8000", "segment_len=512", "hop=256", "fft_size=512",
+        "image_size=32", "n_units=6", "bank_clip_s=6.0",
+        "bank_clips_per_type=1", "n_pos=12", "n_neg=12", "n_iter=3",
+        "n_train=14", "n_test=8", "svm_max_iter=200",
+    ]) + "\n")
+    out = tmp_path / "synth_out"
+    assert main(["synth", "--config", str(cfg), "--experiment", "E6",
+                 "--snr", "0", "--seed", "42", "--out", str(out)]) == 0
+    assert {p.name: _sha256(p) for p in out.iterdir()} == digests
 
 
 @pytest.mark.parametrize("kind, text, code", [

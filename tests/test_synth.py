@@ -11,12 +11,11 @@ from whaledet.spectrogram import StftParams, stft_magnitude
 from whaledet.synth import (
     NOISE_TYPES,
     ExperimentConfig,
-    NoiseBank,
     SynthError,
     build_experiment,
+    dataset_loader,
     load_noise_bank,
     mix_at_snr,
-    read_dataset,
     sample_builder,
     snr_gain,
     synth_noise,
@@ -165,14 +164,14 @@ def test_build_experiment_counts_and_labels():
     assert sum(s.label == 1 for s in samples) == 5
     assert sum(s.label == 0 for s in samples) == 7
     assert all(len(s.audio) == int(2.0 * SR) for s in samples)
-    assert all(s.provenance.noise_type == "wind" for s in samples)
+    assert all(s.noise_type == "wind" for s in samples)
 
 
 def test_build_experiment_e1_uses_clean_background():
     units, bank = _small_setup()
     cfg = ExperimentConfig("E1", snr_db=0.0, seed=1)
     samples = build_experiment(units, bank, cfg, 3, 3, window_s=2.0)
-    assert all(s.provenance.noise_type == "clean" for s in samples)
+    assert all(s.noise_type == "clean" for s in samples)
 
 
 def test_build_experiment_deterministic():
@@ -182,13 +181,12 @@ def test_build_experiment_deterministic():
     b = build_experiment(units, bank, cfg, 4, 4, window_s=2.0)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.audio.samples, sb.audio.samples)
-        pa, pb = sa.provenance, sb.provenance
-        assert (pa.unit_id, pa.noise_type, pa.noise_id,
-                pa.offset_samples) == (pb.unit_id, pb.noise_type,
-                                       pb.noise_id, pb.offset_samples)
-        assert (pa.achieved_snr_db == pb.achieved_snr_db
-                or (math.isnan(pa.achieved_snr_db)
-                    and math.isnan(pb.achieved_snr_db)))
+        assert (sa.unit_id, sa.noise_type, sa.noise_id,
+                sa.offset_samples) == (sb.unit_id, sb.noise_type,
+                                       sb.noise_id, sb.offset_samples)
+        assert (sa.achieved_snr_db == sb.achieved_snr_db
+                or (math.isnan(sa.achieved_snr_db)
+                    and math.isnan(sb.achieved_snr_db)))
 
 
 def test_achieved_snr_matches_requested():
@@ -196,8 +194,8 @@ def test_achieved_snr_matches_requested():
     for snr in (-10.0, 0.0, 10.0):
         cfg = ExperimentConfig("E3", snr_db=snr, seed=17)
         for s in build_experiment(units, bank, cfg, 6, 0, window_s=2.0):
-            assert s.provenance.achieved_snr_db == pytest.approx(snr, abs=1e-9)
-            assert abs(s.provenance.achieved_snr_db - snr) < 0.01
+            assert s.achieved_snr_db == pytest.approx(snr, abs=1e-9)
+            assert abs(s.achieved_snr_db - snr) < 0.01
 
 
 def test_build_experiment_mixes_every_positive_through_mix_at_snr(
@@ -228,7 +226,7 @@ def test_e6_noise_types_near_uniform():
                                window_s=2.0)
     counts = {}
     for s in samples:
-        counts[s.provenance.noise_type] = counts.get(s.provenance.noise_type, 0) + 1
+        counts[s.noise_type] = counts.get(s.noise_type, 0) + 1
     assert set(counts) == {"wind", "rain", "traffic", "chorus"}
     for nt, c in counts.items():
         assert abs(c / 1000 - 0.25) <= 0.43 * 0.25, (nt, c)
@@ -261,7 +259,7 @@ def test_short_unit_center_embedded():
 
 def test_insufficient_noise_duration_errors():
     unit = synth_whale_unit(1.0, 300, 600, sample_rate=SR)
-    short_bank = NoiseBank(entries={"clean": [_white(100, 0)]})
+    short_bank = {"clean": [_white(100, 0)]}
     cfg = ExperimentConfig("E1", snr_db=0.0, seed=0)
     with pytest.raises(SynthError):
         build_experiment([unit], short_bank, cfg, 1, 1, window_s=2.0)
@@ -273,10 +271,10 @@ def test_dataset_write_read_round_trip(tmp_path):
     samples = build_experiment(units, bank, cfg, 3, 2, window_s=2.0)
     manifest = write_dataset(samples, tmp_path / "ds", seed=cfg.seed)
     assert manifest.is_file()
-    clips, labels = read_dataset(tmp_path / "ds")
+    load, labels = dataset_loader(tmp_path / "ds")
     assert labels.tolist() == [1, 1, 1, 0, 0]
-    for clip, s in zip(clips, samples):
-        assert np.array_equal(clip.samples,
+    for i, s in enumerate(samples):
+        assert np.array_equal(load(i).samples,
                               s.audio.samples.astype(np.float32))
 
 
@@ -295,8 +293,8 @@ def test_load_noise_bank_layout(tmp_path):
     (root / "wind").mkdir(parents=True)
     save_wav(root / "wind" / "w0.wav", _white(4000, 30))
     bank = load_noise_bank(root)
-    assert list(bank.entries) == ["wind"]
-    assert len(bank.entries["wind"][0]) == 4000
+    assert list(bank) == ["wind"]
+    assert len(bank["wind"][0]) == 4000
     with pytest.raises(SynthError):
         load_noise_bank(tmp_path / "nope")
 
@@ -307,8 +305,8 @@ def test_build_experiment_rejects_mixed_sample_rates():
     slow_unit = AudioClip(units[1].samples, SR / 2)
     with pytest.raises(SynthError, match="sample rate"):
         build_experiment([units[0], slow_unit], bank, cfg, 2, 2)
-    wind = [AudioClip(c.samples, SR / 2) for c in bank.entries["wind"]]
-    slow_bank = NoiseBank(entries={**bank.entries, "wind": wind})
+    wind = [AudioClip(c.samples, SR / 2) for c in bank["wind"]]
+    slow_bank = {**bank, "wind": wind}
     with pytest.raises(SynthError, match="sample rate"):
         build_experiment(units, slow_bank, cfg, 2, 2)
     # a noise type the experiment does not use may have any rate
@@ -338,10 +336,10 @@ def test_pool_and_bank_bytes_do_not_depend_on_thread_count(monkeypatch,
         units = synth_unit_pool(30, 44100.0, seed=4)
         bank = synth_noise_bank(5.0, 2, 44100.0, seed=4)
         assert chunk_calls == [30, 10]  # the units, then 5 types x 2 clips
-        assert list(bank.entries) == list(NOISE_TYPES)
+        assert list(bank) == list(NOISE_TYPES)
         runs.append(([u.samples.tobytes() for u in units],
                      {nt: [c.samples.tobytes() for c in clips]
-                      for nt, clips in bank.entries.items()}))
+                      for nt, clips in bank.items()}))
     assert runs[0] == runs[1] == runs[2]
     # clip i of each type is synth_noise's clip at seed 4 * 1000 + i
     assert runs[0][1] == {
@@ -366,7 +364,7 @@ def test_rate_below_the_generators_floor_raises_before_any_thread(
 def test_pool_and_bank_build_just_above_the_floor():
     assert len(synth_unit_pool(3, 1334.0)) == 3
     bank = synth_noise_bank(1.0, 1, 7201.0, seed=1)
-    assert [len(clips) for clips in bank.entries.values()] == [1] * 5
+    assert [len(clips) for clips in bank.values()] == [1] * 5
 
 
 def test_lazy_cell_featurizes_like_the_eager_list(monkeypatch):
