@@ -43,6 +43,7 @@ from .spectrogram import SpectrogramError, StftParams
 from .svm import SvmError
 from .synth import (
     EXPERIMENT_NOISE_TYPES,
+    NOISE_TYPES,
     ExperimentConfig,
     SynthError,
     build_experiment,
@@ -195,6 +196,11 @@ def _make_featurizer(cfg: PipelineConfig):
     if cfg.features == "cnn":
         network = (load_network(cfg.network) if cfg.network
                    else tiny_vgg(seed=0, in_size=cfg.image_size))
+        size = (network.in_height, network.in_width)
+        if size != (cfg.image_size, cfg.image_size):
+            raise NetworkError(
+                f"{cfg.network}: network input is {size[0]}x{size[1]}, "
+                f"image_size is {cfg.image_size}")
     featurize = functools.partial(featurize_clips, network=network,
                                   params=cfg.stft_params(),
                                   size=cfg.image_size)
@@ -228,8 +234,15 @@ def _load_bank(cfg: PipelineConfig, bank_dir: str | None):
         bank = load_noise_bank(bank_dir)
         _require_sample_rate(
             cfg, [c for clips in bank.values() for c in clips], bank_dir)
-        # the rate is checked first, so the window below is in its samples
-        require_noise(bank, bank, int(round(cfg.window_s * cfg.sample_rate)))
+        # the requested experiments' types and the bank's own, in one order
+        # on every run; the rate is checked first, so the window below is in
+        # its samples
+        needed = {nt for exp in cfg.experiment_list()
+                  for nt in EXPERIMENT_NOISE_TYPES[exp]}
+        order = {nt: k for k, nt in enumerate(NOISE_TYPES)}
+        types = sorted(needed | bank.keys(),
+                       key=lambda nt: (order.get(nt, len(order)), nt))
+        require_noise(bank, types, int(round(cfg.window_s * cfg.sample_rate)))
         return bank
     return synth_noise_bank(duration_s=cfg.bank_clip_s,
                             clips_per_type=cfg.bank_clips_per_type,
@@ -259,6 +272,8 @@ def cmd_synth(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
+    # the network is checked before the manifest is parsed or a WAV read
+    featurize, dim = _make_featurizer(cfg)
     in_dir = Path(args.input)
     if in_dir.is_dir():
         load, labels = dataset_loader(in_dir)
@@ -273,7 +288,6 @@ def cmd_featurize(args) -> int:
         windows = frame_windows(recording, cfg.window_s)
         window = windows.__getitem__
         labels = np.full(len(windows), -1, dtype=np.int64)
-    featurize, dim = _make_featurizer(cfg)
     out = Path(args.out)
     # opened before any window is read; each row goes to the file as it is
     # computed

@@ -120,18 +120,9 @@ def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     flattened kernels multiply from the left.
     """
     x = np.asarray(x, dtype=np.float64)
-    out_ch, in_ch, kh, kw = layer.weights.shape
-    if x.ndim != 3 or x.shape[0] != in_ch:
-        raise ShapeChainError(
-            f"conv expects input of {in_ch} channels, got shape {x.shape}"
-        )
+    out_ch, _, kh, kw = layer.weights.shape
     s, p = layer.stride, layer.pad
     xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    H, W = xp.shape[1], xp.shape[2]
-    if H < kh or W < kw:
-        raise ShapeChainError(
-            f"conv kernel {kh}x{kw} larger than padded input {H}x{W}"
-        )
     # (in_ch, out_h, out_w, kh, kw) view of every receptive field
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
     out_h, out_w = windows.shape[1], windows.shape[2]
@@ -154,74 +145,55 @@ def maxpool_forward(x: np.ndarray) -> np.ndarray:
 def fc_forward(x: np.ndarray, layer: FcLayer) -> np.ndarray:
     """ReLU(W @ flatten(x) + b); flattening is C-order over (C, H, W)."""
     flat = np.asarray(x, dtype=np.float64).ravel()
-    out_dim, in_dim = layer.weights.shape
-    if flat.shape[0] != in_dim:
-        raise ShapeChainError(
-            f"fc expects input of length {in_dim}, got {flat.shape[0]}"
-        )
     return np.maximum(layer.weights @ flat + layer.bias, 0.0)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Numerically stable softmax; output sums to 1."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise NetworkError("softmax of empty vector")
     e = np.exp(x - x.max())
     return e / e.sum()
 
 
-def layer_forward(x: np.ndarray, layer) -> np.ndarray:
-    if isinstance(layer, ConvLayer):
-        return conv_forward(x, layer)
-    if isinstance(layer, ReluLayer):
-        return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-    if isinstance(layer, MaxPoolLayer):
-        return maxpool_forward(x)
-    if isinstance(layer, FcLayer):
-        return fc_forward(x, layer)
-    if isinstance(layer, SoftmaxLayer):
-        return softmax(x)
-    raise NetworkError(f"unknown layer kind: {type(layer).__name__}")
-
-
 def forward(net: Network, x: np.ndarray, upto: int | None = None) -> np.ndarray:
-    """Run layers 0..upto inclusive (all layers when upto is None)."""
+    """Run layers 0..upto inclusive (all layers when upto is None) on x of
+    the input shape; validate_network has checked that the layers chain."""
     last = len(net.layers) - 1 if upto is None else upto
-    for i in range(last + 1):
-        try:
-            x = layer_forward(x, net.layers[i])
-        except ShapeChainError as exc:
-            raise ShapeChainError(f"layer {i}: {exc}") from exc
+    for layer in net.layers[: last + 1]:
+        if isinstance(layer, ConvLayer):
+            x = conv_forward(x, layer)
+        elif isinstance(layer, MaxPoolLayer):
+            x = maxpool_forward(x)
+        elif isinstance(layer, FcLayer):
+            x = fc_forward(x, layer)
+        elif isinstance(layer, SoftmaxLayer):
+            x = softmax(x)
+        else:  # ReluLayer
+            x = np.maximum(x, 0.0)
     return x
 
 
-def prepare_input(net: Network, pixels: np.ndarray) -> np.ndarray:
-    """uint8 image -> [0,1] float stack replicated to the input channel count."""
-    if pixels.shape != (net.in_height, net.in_width):
-        raise ShapeChainError(
-            f"image shape {pixels.shape} does not match network input "
-            f"{net.in_height}x{net.in_width}"
-        )
-    x = pixels.astype(np.float64) / 255.0
-    stack = np.repeat(x[None, :, :], net.in_channels, axis=0)
-    if net.channel_mean is not None:
-        stack = stack - net.channel_mean[:, None, None]
-    return stack
-
-
 def extract_code(net: Network, pixels: np.ndarray) -> np.ndarray:
-    """Feature code: activations of the designated fc layer.
+    """Feature code of an in_height x in_width uint8 image: the activations
+    of the designated fc layer.
 
-    Layers after code_layer_index (top classifier and softmax) are skipped.
+    The image is scaled to [0, 1], replicated to the input channel count and
+    shifted by the channel mean.  Layers after code_layer_index (top
+    classifier and softmax) are skipped.
     """
-    if not isinstance(net.layers[net.code_layer_index], FcLayer):
-        raise NetworkError("code_layer_index must point at an fc layer")
-    return forward(net, prepare_input(net, pixels), upto=net.code_layer_index)
+    x = np.repeat(pixels[None, :, :].astype(np.float64) / 255.0,
+                  net.in_channels, axis=0)
+    if net.channel_mean is not None:
+        x = x - net.channel_mean[:, None, None]
+    return forward(net, x, upto=net.code_layer_index)
 
 
 def validate_network(net: Network) -> None:
-    """Walk the shape chain from the declared input; raise on any break."""
+    """Walk the shape chain from the declared input; raise on any break.
+
+    This is the only check of a network's shapes: the kernels and forward
+    trust it, so load_network and tiny_vgg run it on every network they
+    build."""
     if not net.layers:
         raise EmptyNetworkError("empty network")
     if not 0 <= net.code_layer_index < len(net.layers):
@@ -263,7 +235,9 @@ def validate_network(net: Network) -> None:
                     f"previous layer produces {flat}"
                 )
             shape = (out_dim,)
-        elif isinstance(layer, (ReluLayer, SoftmaxLayer)):
+        elif isinstance(layer, SoftmaxLayer):
+            shape = (math.prod(shape),)
+        elif isinstance(layer, ReluLayer):
             pass
         else:
             raise NetworkError(f"layer {i}: unknown layer kind")

@@ -37,7 +37,6 @@ class SvmModel:
     c_param: float
     # training diagnostics, not serialized
     dual_coef: np.ndarray | None = field(default=None, repr=False)
-    objective_history: list[float] | None = field(default=None, repr=False)
     n_epochs: int = 0
     converged: bool = False  # the last epoch's largest violation < tol
     final_violation: float = math.inf  # that violation (inf: no epoch ran)
@@ -122,7 +121,6 @@ def train(
     q = q_diag.tolist()
     alpha = [0.0] * n
     rng = np.random.default_rng(seed)
-    history: list[float] = []
     epochs = 0
     max_violation = math.inf
 
@@ -144,7 +142,6 @@ def train(
                 if new_alpha != a:
                     w += (new_alpha - a) * y[i] * rows[i]
                     alpha[i] = new_alpha
-        history.append(float(np.sum(alpha) - 0.5 * (w @ w)))
         if max_violation < tol:
             break
 
@@ -157,7 +154,6 @@ def train(
         bias=float(w[d]),
         c_param=c_param,
         dual_coef=alpha,
-        objective_history=history,
         n_epochs=epochs,
         converged=bool(max_violation < tol),
         final_violation=float(max_violation),

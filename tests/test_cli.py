@@ -278,12 +278,15 @@ def test_sweep_split_larger_than_cell_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("setting, flags", [
     ("hop=256", ["--network", "missing.cnnw"]),
     ("hop=1024", []),  # over segment_len=512
+    ("hop=256", ["--network", "net64.cnnw"]),  # not image_size=32 square
 ])
 def test_sweep_checks_its_featurizer_before_synthesis(tmp_path, capsys,
                                                       monkeypatch, setting,
                                                       flags):
-    # a missing network file or an STFT geometry that cannot run fails
-    # before the unit pool and the noise bank are synthesized
+    # a missing network file, a network of another input size or an STFT
+    # geometry that cannot run fails before the unit pool and the noise bank
+    # are synthesized
+    save_network(tiny_vgg(seed=0, in_size=64), tmp_path / "net64.cnnw")
     calls = []
     monkeypatch.setattr("whaledet.cli.synth_unit_pool",
                         lambda *args, **kwargs: calls.append(args))
@@ -433,6 +436,54 @@ def test_featurize_checks_its_output_path_before_any_window(
     assert reads == []
     assert set(tmp_path.iterdir()) == before
     assert plain.read_text() == ""
+
+
+@pytest.mark.parametrize("source", ["dataset", "wav"])
+def test_featurize_checks_its_network_size_before_any_window(
+        tmp_path, capsys, monkeypatch, small_dataset, source):
+    cfg, ds = small_dataset  # image_size=32
+    net = tmp_path / "net64.cnnw"
+    save_network(tiny_vgg(seed=0, in_size=64), net)
+    before = set(tmp_path.iterdir())
+    reads = []  # neither the manifest nor a WAV is read
+    for name in ("dataset_loader", "load_wav"):
+        monkeypatch.setattr(cli, name, lambda *args: reads.append(args))
+    assert main(["featurize", "--config", cfg, "--in",
+                 str(ds if source == "dataset" else ds / "sample_00000.wav"),
+                 "--network", str(net),
+                 "--out", str(tmp_path / "out" / "x.feat")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {net}: network input is 64x64, image_size is 32"]
+    assert reads == []
+    assert set(tmp_path.iterdir()) == before
+
+
+def _softmax_then(layer: bytes, fc_in: int) -> bytes:
+    """A CNNW file: 1x32x32 input, softmax, the given layer, then a 2-d code
+    fc layer of fc_in inputs."""
+    return (b"CNNW" + struct.pack("<IIIIIBI", 1, 1, 32, 32, 2, 0, 3)
+            + bytes([5]) + layer + struct.pack("<BII", 4, 2, fc_in)
+            + bytes(4 * (2 * fc_in + 2)))
+
+
+@pytest.mark.parametrize("layer, fc_in", [
+    (bytes([3]), 256),  # maxpool
+    (struct.pack("<B6I", 1, 1, 1, 1, 1, 1, 0) + bytes(8), 1024),  # 1x1 conv
+], ids=["maxpool", "conv"])
+def test_softmax_before_a_spatial_layer_exits_2_at_load(tmp_path, capsys,
+                                                        layer, fc_in):
+    # softmax flattens its input, so the maxpool or conv after it has no
+    # image to run on
+    net = tmp_path / "net.cnnw"
+    net.write_bytes(_softmax_then(layer, fc_in))
+    wav = tmp_path / "clip.wav"
+    wavfile.write(str(wav), 8000, np.ones(16000, dtype=np.float32))
+    feat = tmp_path / "clip.feat"
+    assert main(["featurize", "--config", _cfg(tmp_path), "--in", str(wav),
+                 "--network", str(net), "--out", str(feat)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: layer 1: ")
+    assert not feat.exists()
 
 
 @pytest.mark.parametrize("command, out", [
@@ -1118,3 +1169,26 @@ def test_units_and_bank_at_another_rate_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "sample_rate" in err and str(tmp_path / source) in err
     assert not (out / "run_config.txt").exists()
+
+
+def test_sweep_names_a_noise_type_the_bank_lacks_before_any_cell(
+        tmp_path, capsys, monkeypatch):
+    # clean, wind and rain clips; E6 needs traffic and chorus too
+    rng = np.random.default_rng(0)
+    bank = tmp_path / "bank"
+    for nt in ("clean", "wind", "rain"):
+        (bank / nt).mkdir(parents=True)
+        wavfile.write(str(bank / nt / "n0.wav"), 8000,
+                      (0.1 * rng.standard_normal(3 * 8000)).astype(np.float32))
+    built = []
+    monkeypatch.setattr(cli, "sample_builder",
+                        lambda *args, **kw: built.append(args))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _cfg(tmp_path, SMALL_SWEEP),
+                 "--experiment", "E1", "--experiment", "E2",
+                 "--experiment", "E6", "--snr", "0", "--snr", "5",
+                 "--bank", str(bank), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: noise bank has no clips of type 'traffic'"]
+    assert built == []
+    assert not out.exists()

@@ -77,12 +77,6 @@ def test_conv_odd_sizes_stride_2_no_padding_match_oracle():
     assert np.abs(got - want).max() < 1e-12
 
 
-def test_conv_shape_mismatch_names_shapes():
-    layer = ConvLayer(np.zeros((1, 3, 3, 3)), np.zeros(1))
-    with pytest.raises(ShapeChainError, match="3 channels"):
-        conv_forward(np.zeros((2, 8, 8)), layer)
-
-
 def test_maxpool_block_maxima():
     x = np.arange(1, 17, dtype=float).reshape(1, 4, 4)
     assert np.array_equal(maxpool_forward(x)[0], [[6, 8], [14, 16]])
@@ -271,12 +265,23 @@ def test_weight_file_errors_are_distinct(tmp_path):
 
 
 def test_shape_chain_error_names_layers():
-    fc1 = FcLayer(np.zeros((8, 16)), np.zeros(8))
-    fc2 = FcLayer(np.zeros((4, 99)), np.zeros(4))  # 99 != 8
-    net = Network(layers=[fc1, fc2], code_layer_index=1,
-                  in_channels=1, in_height=4, in_width=4)
-    with pytest.raises(ShapeChainError, match="layer 1"):
-        validate_network(net)
+    fc16 = FcLayer(np.zeros((8, 16)), np.zeros(8))  # takes the 1x4x4 input
+    cases = [
+        ([fc16, FcLayer(np.zeros((4, 99)), np.zeros(4))], "layer 1"),  # 99 != 8
+        # the 1-channel input into a kernel of 3 channels
+        ([ConvLayer(np.zeros((1, 3, 3, 3)), np.zeros(1)), fc16], "layer 0"),
+        # a 5x5 kernel on the 4x4 input leaves no output pixel
+        ([ConvLayer(np.zeros((1, 1, 5, 5)), np.zeros(1)), fc16], "layer 0"),
+        # softmax flattens its input, so no spatial layer may follow it
+        ([SoftmaxLayer(), MaxPoolLayer(), fc16], "layer 1"),
+        ([SoftmaxLayer(), ConvLayer(np.zeros((1, 1, 1, 1)), np.zeros(1)),
+          fc16], "layer 1"),
+    ]
+    for layers, named in cases:
+        net = Network(layers=layers, code_layer_index=len(layers) - 1,
+                      in_channels=1, in_height=4, in_width=4)
+        with pytest.raises(ShapeChainError, match=named):
+            validate_network(net)
 
 
 def test_code_layer_must_be_fc():

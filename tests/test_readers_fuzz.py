@@ -6,18 +6,25 @@ the file's format.  Binary header counts are drawn only from a few small
 values and 2**32 - 1, so no example asks for a mid-sized allocation.
 """
 
+import math
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from whaledet.audio import AudioClip
 from whaledet.cli import PipelineConfig, UsageError
-from whaledet.cnn import Network, NetworkError, load_network, validate_network
+from whaledet.cnn import (
+    Network,
+    NetworkError,
+    forward,
+    load_network,
+    validate_network,
+)
 from whaledet.features import FeatureError, load_features, load_labels
 from whaledet.svm import SvmError, SvmModel, load_model
 from whaledet.synth import SynthError, dataset_loader
@@ -169,15 +176,34 @@ def _network_files():
     return st.tuples(head, layers).map(b"".join)
 
 
+# 1x4x4 input, no mean, code layer 2: a softmax, which flattens its input to
+# 16 values, then a maxpool or a conv, then an fc that takes 4 or 16 values
+SOFTMAX_THEN_MAXPOOL = (
+    b"CNNW" + struct.pack("<IIIIIBI", 1, 1, 4, 4, 2, 0, 3) + bytes([5, 3])
+    + struct.pack("<BII", 4, 3, 4) + _f32(12) + _f32(3)
+)
+SOFTMAX_THEN_CONV = (
+    b"CNNW" + struct.pack("<IIIIIBI", 1, 1, 4, 4, 2, 0, 3) + bytes([5])
+    + struct.pack("<B6I", 1, 1, 1, 1, 1, 1, 0) + _f32(1) + _f32(1)
+    + struct.pack("<BII", 4, 3, 16) + _f32(48) + _f32(3)
+)
+
+
 @FUZZ
 @given(st.one_of(_network_files(), _truncations(VALID_NETWORK)))
 @example(VALID_NETWORK)
 @example(b"CNNW" + struct.pack("<IIIIIBI", 1, 1, 4, 4, 0, 0, 1)
          + struct.pack("<BII", 4, BIG, BIG))
+@example(SOFTMAX_THEN_MAXPOOL)
+@example(SOFTMAX_THEN_CONV)
 def test_network_reader(scratch, data):
+    # a network that loads runs forward on an input of its declared shape
     try:
         net = load_network(_write(scratch / "x.cnnw", data))
     except NetworkError:
         return
     assert isinstance(net, Network)
     validate_network(net)
+    shape = (net.in_channels, net.in_height, net.in_width)
+    assume(math.prod(shape) <= 65536)  # no case allocates a huge image
+    forward(net, np.zeros(shape))

@@ -57,12 +57,23 @@ def test_duplicated_dataset_same_decision_function():
     assert np.abs(v1 - v2).max() < 1e-6
 
 
+def dual_objective(model):
+    """sum(alpha) - |w|^2 / 2 over the augmented weights [w, b]."""
+    return model.dual_coef.sum() - 0.5 * (model.weights @ model.weights
+                                          + model.bias ** 2)
+
+
 def test_dual_feasibility_and_objective_monotone():
     c = 1.0
-    model = train(*separable_2d(seed=2), c_param=c)
+    X, y = separable_2d(seed=2)
+    model = train(X, y, c_param=c)
     assert (model.dual_coef >= -1e-12).all()
     assert (model.dual_coef <= c + 1e-12).all()
-    hist = model.objective_history
+    # the same seed visits the same coordinates, so a fit capped at k epochs
+    # is the full fit's state after epoch k
+    hist = [dual_objective(train(X, y, c_param=c, max_iter=k))
+            for k in range(1, model.n_epochs + 1)]
+    assert hist[-1] == dual_objective(model)
     assert all(b >= a - 1e-9 for a, b in zip(hist, hist[1:]))
 
 
