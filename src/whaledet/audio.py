@@ -61,12 +61,13 @@ class AudioClip:
         return len(self.samples)
 
 
-def load_wav(path) -> AudioClip:
-    """Read a PCM16 or float32 WAV file as a mono AudioClip.
+def load_wav(path, sample_rate: float) -> AudioClip:
+    """Read a PCM16 or float32 WAV file at sample_rate Hz as a mono AudioClip.
 
     PCM16 samples are scaled by 1/32768; float32 payloads holding a NaN or
     infinite sample are rejected; multichannel audio is averaged down to
-    mono.  No resampling is performed.
+    mono.  No resampling is performed: a file at any other rate raises
+    SampleRateMismatchError.
     """
     path = Path(path)
     if not path.is_file():
@@ -90,6 +91,10 @@ def load_wav(path) -> AudioClip:
         samples = samples.mean(axis=1)
     if samples.size == 0:
         raise EmptyAudioError(f"{path}: zero-length audio payload")
+    if rate != sample_rate:
+        raise SampleRateMismatchError(
+            f"{path}: audio at {rate:g} Hz, config sample_rate is "
+            f"{sample_rate:g} Hz")
     return AudioClip(samples=samples, sample_rate_hz=float(rate))
 
 

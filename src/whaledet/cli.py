@@ -22,7 +22,6 @@ from . import evaluate as ev
 from . import svm as svm_mod
 from .audio import (
     AudioError,
-    SampleRateMismatchError,
     frame_windows,
     load_wav,
     make_dir,
@@ -207,46 +206,35 @@ def _make_featurizer(cfg: PipelineConfig):
     return featurize, feature_dim(network, cfg.image_size)
 
 
-def _require_sample_rate(cfg: PipelineConfig, clips, source) -> None:
-    """Raise SampleRateMismatchError for a clip not at cfg.sample_rate."""
-    rates = {c.sample_rate_hz for c in clips} - {cfg.sample_rate}
-    if rates:
-        raise SampleRateMismatchError(
-            f"{source}: audio at {', '.join(f'{r:g}' for r in sorted(rates))} Hz, "
-            f"config sample_rate is {cfg.sample_rate:g} Hz"
-        )
-
-
 def _load_units(cfg: PipelineConfig, units_dir: str | None):
     if units_dir:
         paths = sorted(Path(units_dir).glob("*.wav"))
         if not paths:
             raise SynthError(f"no unit WAV files found in {units_dir}")
-        units = [load_wav(p) for p in paths]
-        _require_sample_rate(cfg, units, units_dir)
-        return units
+        return [load_wav(p, cfg.sample_rate) for p in paths]
     return synth_unit_pool(n_units=cfg.n_units, sample_rate=cfg.sample_rate,
                            seed=cfg.seed)
 
 
 def _load_bank(cfg: PipelineConfig, bank_dir: str | None):
+    """The --bank directory's noise bank, or a synthesized one, checked to
+    hold clips that cover a window for every type it or the experiments
+    name: the one check that sample_builder relies on."""
     if bank_dir:
-        bank = load_noise_bank(bank_dir)
-        _require_sample_rate(
-            cfg, [c for clips in bank.values() for c in clips], bank_dir)
-        # the requested experiments' types and the bank's own, in one order
-        # on every run; the rate is checked first, so the window below is in
-        # its samples
-        needed = {nt for exp in cfg.experiment_list()
-                  for nt in EXPERIMENT_NOISE_TYPES[exp]}
-        order = {nt: k for k, nt in enumerate(NOISE_TYPES)}
-        types = sorted(needed | bank.keys(),
-                       key=lambda nt: (order.get(nt, len(order)), nt))
-        require_noise(bank, types, int(round(cfg.window_s * cfg.sample_rate)))
-        return bank
-    return synth_noise_bank(duration_s=cfg.bank_clip_s,
-                            clips_per_type=cfg.bank_clips_per_type,
-                            sample_rate=cfg.sample_rate, seed=cfg.seed)
+        bank = load_noise_bank(bank_dir, cfg.sample_rate)
+    else:
+        bank = synth_noise_bank(duration_s=cfg.bank_clip_s,
+                                clips_per_type=cfg.bank_clips_per_type,
+                                sample_rate=cfg.sample_rate, seed=cfg.seed)
+    # the requested experiments' types and the bank's own, in one order on
+    # every run
+    needed = {nt for exp in cfg.experiment_list()
+              for nt in EXPERIMENT_NOISE_TYPES[exp]}
+    order = {nt: k for k, nt in enumerate(NOISE_TYPES)}
+    types = sorted(needed | bank.keys(),
+                   key=lambda nt: (order.get(nt, len(order)), nt))
+    require_noise(bank, types, int(round(cfg.window_s * cfg.sample_rate)))
+    return bank
 
 
 def cmd_synth(args) -> int:
@@ -276,16 +264,11 @@ def cmd_featurize(args) -> int:
     featurize, dim = _make_featurizer(cfg)
     in_dir = Path(args.input)
     if in_dir.is_dir():
-        load, labels = dataset_loader(in_dir)
-
-        def window(i: int):  # read on the thread that featurizes row i
-            clip = load(i)
-            _require_sample_rate(cfg, [clip], in_dir)
-            return clip
+        # row i's WAV is read on the thread that featurizes it
+        window, labels = dataset_loader(in_dir, cfg.sample_rate)
     else:
-        recording = load_wav(in_dir)
-        _require_sample_rate(cfg, [recording], in_dir)
-        windows = frame_windows(recording, cfg.window_s)
+        windows = frame_windows(load_wav(in_dir, cfg.sample_rate),
+                                cfg.window_s)
         window = windows.__getitem__
         labels = np.full(len(windows), -1, dtype=np.int64)
     out = Path(args.out)

@@ -210,6 +210,9 @@ def validate_network(net: Network) -> None:
             if len(shape) != 3:
                 raise ShapeChainError(f"layer {i}: conv after flattened input")
             out_ch, in_ch, kh, kw = layer.weights.shape
+            if 0 in layer.weights.shape or layer.stride < 1:
+                raise ShapeChainError(
+                    f"layer {i}: conv with a zero dimension or stride")
             if in_ch != shape[0]:
                 raise ShapeChainError(
                     f"layer {i}: conv expects {in_ch} channels, "
@@ -229,6 +232,8 @@ def validate_network(net: Network) -> None:
         elif isinstance(layer, FcLayer):
             flat = math.prod(shape)
             out_dim, in_dim = layer.weights.shape
+            if 0 in layer.weights.shape:
+                raise ShapeChainError(f"layer {i}: fc with a zero dimension")
             if in_dim != flat:
                 raise ShapeChainError(
                     f"layer {i}: fc expects input of length {in_dim}, "
@@ -251,10 +256,17 @@ def _read(fh, fmt: str):
     return struct.unpack("<" + fmt, buf)
 
 
-def _read_f32(fh, count: int) -> np.ndarray:
+def _read_f32(fh, *shape: int) -> np.ndarray:
+    """The next float32 payload of the file as a float64 array of shape."""
+    count = math.prod(shape)
     if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise TruncatedFileError("truncated weight payload")
-    values = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
+    # a zero dimension empties the payload, but numpy still refuses a shape
+    # whose other dimensions overflow an array's size
+    if math.prod(n or 1 for n in shape) > np.iinfo(np.intp).max // 8:
+        raise WeightFileError(f"weight array of shape {shape} is too large")
+    raw = np.frombuffer(fh.read(4 * count), dtype="<f4")
+    values = raw.astype(np.float64).reshape(shape)
     if not np.isfinite(values).all():
         raise WeightFileError("NaN or infinite value in weight payload")
     return values
@@ -283,10 +295,7 @@ def load_network(path) -> Network:
             (kind,) = _read(fh, "B")
             if kind == _KIND_CONV:
                 out_c, in_c, kh, kw, stride, pad = _read(fh, "IIIIII")
-                if 0 in (out_c, in_c, kh, kw, stride):
-                    raise WeightFileError(f"{path}: conv layer with a zero "
-                                          "dimension or stride")
-                w = _read_f32(fh, out_c * in_c * kh * kw).reshape(out_c, in_c, kh, kw)
+                w = _read_f32(fh, out_c, in_c, kh, kw)
                 b = _read_f32(fh, out_c)
                 layers.append(ConvLayer(w, b, stride=stride, pad=pad))
             elif kind == _KIND_RELU:
@@ -295,10 +304,7 @@ def load_network(path) -> Network:
                 layers.append(MaxPoolLayer())
             elif kind == _KIND_FC:
                 out_d, in_d = _read(fh, "II")
-                if 0 in (out_d, in_d):
-                    raise WeightFileError(f"{path}: fc layer with a zero "
-                                          "dimension")
-                w = _read_f32(fh, out_d * in_d).reshape(out_d, in_d)
+                w = _read_f32(fh, out_d, in_d)
                 b = _read_f32(fh, out_d)
                 layers.append(FcLayer(w, b))
             elif kind == _KIND_SOFTMAX:

@@ -38,8 +38,6 @@ class SvmModel:
     # training diagnostics, not serialized
     dual_coef: np.ndarray | None = field(default=None, repr=False)
     n_epochs: int = 0
-    converged: bool = False  # the last epoch's largest violation < tol
-    final_violation: float = math.inf  # that violation (inf: no epoch ran)
 
     @property
     def dim(self) -> int:
@@ -122,7 +120,6 @@ def train(
     alpha = [0.0] * n
     rng = np.random.default_rng(seed)
     epochs = 0
-    max_violation = math.inf
 
     for epoch in range(max_iter):
         epochs = epoch + 1
@@ -155,8 +152,6 @@ def train(
         c_param=c_param,
         dual_coef=alpha,
         n_epochs=epochs,
-        converged=bool(max_violation < tol),
-        final_violation=float(max_violation),
     )
 
 

@@ -63,15 +63,12 @@ def require_noise(bank: dict[str, list[AudioClip]], noise_types,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One cell of the grid: experiment_id a key of EXPERIMENT_NOISE_TYPES,
+    snr_db finite."""
+
     experiment_id: str  # E1..E6
     snr_db: float
     seed: int
-
-    def __post_init__(self):
-        if self.experiment_id not in EXPERIMENT_NOISE_TYPES:
-            raise SynthError(f"unknown experiment id: {self.experiment_id}")
-        if not math.isfinite(self.snr_db):
-            raise SynthError(f"snr_db must be finite, got {self.snr_db}")
 
     @property
     def noise_types(self) -> tuple[str, ...]:
@@ -170,21 +167,12 @@ def sample_builder(
     """The function that builds sample k of an experiment: for k < n_pos a
     unit+noise mixture at cfg.snr_db, else a pure-noise window.
 
-    The units and bank are checked here, once; sample k draws from its own
-    RNG, so samples can be built in any order and on any thread.
+    Preconditions, checked where the audio enters: units is not empty, every
+    unit and noise clip has one sample rate, and require_noise passes for
+    cfg.noise_types and a window_s window.  Sample k draws from its own RNG,
+    so samples can be built in any order and on any thread.
     """
-    if not units:
-        raise SynthError("no sound units provided")
-    sr = units[0].sample_rate_hz
-    window_len = int(round(window_s * sr))
-    require_noise(bank, cfg.noise_types, window_len)
-    noise = [c for nt in cfg.noise_types for c in bank[nt]]
-    rates = {c.sample_rate_hz for c in [*units, *noise]} - {sr}
-    if rates:
-        raise SynthError(
-            f"unit and noise clips must share the first unit's sample rate "
-            f"{sr:g} Hz, found {', '.join(f'{r:g}' for r in sorted(rates))} Hz"
-        )
+    window_len = int(round(window_s * units[0].sample_rate_hz))
 
     def sample(k: int) -> MixedSample:
         rng = np.random.default_rng([cfg.seed, k])
@@ -417,14 +405,16 @@ MANIFEST_FIELDS = (
 )
 
 
-def load_noise_bank(root) -> dict[str, list[AudioClip]]:
-    """Read bank/<noise_type>/*.wav into a noise bank (noise type -> clips)."""
+def load_noise_bank(root, sample_rate: float) -> dict[str, list[AudioClip]]:
+    """Read bank/<noise_type>/*.wav, every file at sample_rate Hz, into a
+    noise bank (noise type -> clips)."""
     root = Path(root)
     if not root.is_dir():
         raise SynthError(f"noise bank directory not found: {root}")
     bank = {}
     for nt_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        clips = [load_wav(p) for p in sorted(nt_dir.glob("*.wav"))]
+        clips = [load_wav(p, sample_rate)
+                 for p in sorted(nt_dir.glob("*.wav"))]
         if clips:
             bank[nt_dir.name] = clips
     return bank
@@ -451,9 +441,10 @@ def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:
     return manifest
 
 
-def dataset_loader(out_dir) -> tuple[Callable[[int], AudioClip], np.ndarray]:
+def dataset_loader(out_dir, sample_rate: float
+                   ) -> tuple[Callable[[int], AudioClip], np.ndarray]:
     """A written dataset directory's labels, and the function that loads
-    sample i's WAV.
+    sample i's WAV, which must be at sample_rate Hz.
 
     The manifest is parsed and every row's sample_id and integer label
     checked here, before any WAV is read; the WAVs are read one at a time,
@@ -478,7 +469,7 @@ def dataset_loader(out_dir) -> tuple[Callable[[int], AudioClip], np.ndarray]:
 
     def load(i: int) -> AudioClip:
         try:
-            return load_wav(paths[i])
+            return load_wav(paths[i], sample_rate)
         except AudioError as exc:
             raise SynthError(f"dataset sample unreadable: {exc}") from exc
 

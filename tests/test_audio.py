@@ -8,6 +8,7 @@ from whaledet.audio import (
     AudioClip,
     EmptyAudioError,
     NonFiniteAudioError,
+    SampleRateMismatchError,
     UnreadableFileError,
     UnsupportedEncodingError,
     WindowingError,
@@ -22,7 +23,7 @@ from whaledet.audio import (
 def test_load_pcm16_scaling_boundary(tmp_path):
     path = tmp_path / "one.wav"
     wavfile.write(str(path), 44100, np.array([-32768], dtype=np.int16))
-    clip = load_wav(path)
+    clip = load_wav(path, 44100)
     assert clip.samples.tolist() == [-1.0]
     assert clip.sample_rate_hz == 44100
 
@@ -30,7 +31,7 @@ def test_load_pcm16_scaling_boundary(tmp_path):
 def test_load_stereo_averages_to_mono(tmp_path):
     path = tmp_path / "st.wav"
     wavfile.write(str(path), 8000, np.array([[0.5, -0.5]], dtype=np.float32))
-    clip = load_wav(path)
+    clip = load_wav(path, 8000)
     assert clip.samples.tolist() == [0.0]
 
 
@@ -39,28 +40,37 @@ def test_float32_round_trip_bit_exact(tmp_path):
     original = rng.uniform(-1, 1, 4096).astype(np.float32).astype(np.float64)
     clip = AudioClip(original, 22050)
     save_wav(tmp_path / "rt.wav", clip)
-    back = load_wav(tmp_path / "rt.wav")
+    back = load_wav(tmp_path / "rt.wav", 22050)
     assert np.array_equal(back.samples, original)
     assert back.sample_rate_hz == 22050
 
 
 def test_load_errors_are_distinct(tmp_path):
     with pytest.raises(UnreadableFileError):
-        load_wav(tmp_path / "missing.wav")
+        load_wav(tmp_path / "missing.wav", 8000)
     bad = tmp_path / "garbage.wav"
     bad.write_bytes(b"not a riff file at all")
     with pytest.raises(UnreadableFileError):
-        load_wav(bad)
+        load_wav(bad, 8000)
     unsupported = tmp_path / "i32.wav"
     wavfile.write(str(unsupported), 8000, np.array([1, 2], dtype=np.int32))
     with pytest.raises(UnsupportedEncodingError):
-        load_wav(unsupported)
+        load_wav(unsupported, 8000)
     for bad in (np.nan, np.inf, -np.inf):
         non_finite = tmp_path / "non_finite.wav"
         wavfile.write(str(non_finite), 8000,
                       np.array([0.1, bad, 0.2], dtype=np.float32))
         with pytest.raises(NonFiniteAudioError, match="non_finite.wav"):
-            load_wav(non_finite)
+            load_wav(non_finite, 8000)
+
+
+def test_load_refuses_another_sample_rate(tmp_path):
+    path = tmp_path / "fast.wav"
+    wavfile.write(str(path), 16000, np.zeros(4, dtype=np.float32))
+    with pytest.raises(SampleRateMismatchError,
+                       match=r"fast\.wav: audio at 16000 Hz, config "
+                             r"sample_rate is 8000 Hz"):
+        load_wav(path, 8000.0)
 
 
 def test_normalize_unit_peak_scaling():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from whaledet import cli, parallel
+from whaledet import cli, parallel, synth
 from whaledet import evaluate as ev
 from whaledet.audio import load_wav
 from whaledet.cli import PipelineConfig, main
@@ -330,7 +330,7 @@ def test_jobs_flag_does_not_change_features(tmp_path, small_dataset,
     # cnn runs a conv GEMM per window inside each worker thread; every
     # thread count gives the bytes of featurizing the dataset read eagerly
     cfg, ds = small_dataset
-    load, labels = dataset_loader(ds)
+    load, labels = dataset_loader(ds, 8000)
     clips = [load(i) for i in range(len(labels))]
     for features, network in (("spectrogram", None),
                               ("cnn", tiny_vgg(seed=0, in_size=32))):
@@ -367,14 +367,14 @@ def _featurize_peak(tmp_path, monkeypatch, n_per_class, size):
     assert main(["synth", "--config", cfg, "--experiment", "E6", "--snr",
                  "0", "--out", str(ds)]) == 0
     wav = ds / "sample_00000.wav"
-    clip = load_wav(wav)
+    clip = load_wav(wav, 8000)
 
     def one_window():
         featurize_clips(1, lambda i: clip, np.empty((1, size * size), "<f4"),
                         None, FAST_STFT, size)
 
     one_window()  # first-call allocations
-    one_clip = _traced_peak(lambda: load_wav(wav))
+    one_clip = _traced_peak(lambda: load_wav(wav, 8000))
     window_peak = _traced_peak(one_window)
     jobs = 2
     _set_jobs(monkeypatch, jobs)
@@ -405,8 +405,8 @@ def _count_window_reads(monkeypatch, fail=None):
     reads = []
     real_loader = cli.dataset_loader
 
-    def loader(path):
-        load, labels = real_loader(path)
+    def loader(path, sample_rate):
+        load, labels = real_loader(path, sample_rate)
 
         def counted(i):
             reads.append(i)
@@ -591,11 +591,10 @@ def test_bad_dataset_row_exits_2_with_one_error_line(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert "sample_00006.wav" in err[0]
     if fault == "other-rate":
-        assert f"{ds}: audio at 16000 Hz, config sample_rate is 8000 Hz" \
-            in err[0]
-    else:
-        assert "sample_00006.wav" in err[0]
+        assert "sample_00006.wav: audio at 16000 Hz, config sample_rate is " \
+            "8000 Hz" in err[0]
     # no feature file, no labels and no temporary file
     assert list(out_dir.iterdir()) == []
 
@@ -1166,9 +1165,10 @@ def test_units_and_bank_at_another_rate_exit_2(tmp_path, capsys, command,
         sources += ["--units", str(units)]
     rc = main([command, "--config", str(cfg), *sources, "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "sample_rate" in err and str(tmp_path / source) in err
-    assert not (out / "run_config.txt").exists()
+    wav = units / "u0.wav" if source == "units" else bank / "clean" / "n0.wav"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {wav}: audio at 8000 Hz, config sample_rate is 44100 Hz"]
+    assert not out.exists()
 
 
 def test_sweep_names_a_noise_type_the_bank_lacks_before_any_cell(
@@ -1190,5 +1190,23 @@ def test_sweep_names_a_noise_type_the_bank_lacks_before_any_cell(
                  "--bank", str(bank), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: noise bank has no clips of type 'traffic'"]
+    assert built == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_synthesized_noise_shorter_than_a_window_exits_2_before_any_cell(
+        tmp_path, capsys, monkeypatch, command):
+    # 1-s clips cannot cover one 2-s window of any noise type
+    built = []
+    for module in (cli, synth):
+        monkeypatch.setattr(module, "sample_builder",
+                            lambda *args, **kw: built.append(args))
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, [*SMALL_SWEEP, "bank_clip_s=1.0", "window_s=2.0"])
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: noise clip of type 'clean' is shorter (8000) than one window "
+        "(16000)"]
     assert built == []
     assert not out.exists()

@@ -263,8 +263,22 @@ def test_weight_file_errors_are_distinct(tmp_path):
         with pytest.raises(WeightFileError, match="NaN or infinite"):
             load_network(path)
 
+    # a conv with a zero dimension, code layer an fc, has an empty payload
+    # that validation refuses; with three more dimensions of 2**32 - 1 numpy
+    # cannot even shape it
+    conv = (b"CNNW" + struct.pack("<IIIIIBI", 1, 1, 8, 8, 1, 0, 2)
+            + struct.pack("<B", 1))
+    fc = struct.pack("<BII", 4, 2, 0) + bias.tobytes()
+    path.write_bytes(conv + struct.pack("<6I", 0, 1, 3, 3, 1, 0) + fc)
+    with pytest.raises(ShapeChainError, match="layer 0"):
+        load_network(path)
+    big = 2**32 - 1
+    path.write_bytes(conv + struct.pack("<6I", 0, big, big, big, 1, 0) + fc)
+    with pytest.raises(WeightFileError, match="too large"):
+        load_network(path)
 
-def test_shape_chain_error_names_layers():
+
+def test_shape_chain_error_names_layers(tmp_path):
     fc16 = FcLayer(np.zeros((8, 16)), np.zeros(8))  # takes the 1x4x4 input
     cases = [
         ([fc16, FcLayer(np.zeros((4, 99)), np.zeros(4))], "layer 1"),  # 99 != 8
@@ -276,12 +290,21 @@ def test_shape_chain_error_names_layers():
         ([SoftmaxLayer(), MaxPoolLayer(), fc16], "layer 1"),
         ([SoftmaxLayer(), ConvLayer(np.zeros((1, 1, 1, 1)), np.zeros(1)),
           fc16], "layer 1"),
+        # zero sizes, which the kernels cannot run
+        ([ConvLayer(np.zeros((0, 1, 3, 3)), np.zeros(0)), fc16], "layer 0"),
+        ([fc16, FcLayer(np.zeros((2, 0)), np.zeros(2))], "layer 1"),
+        ([ConvLayer(np.zeros((1, 1, 1, 1)), np.zeros(1), stride=0), fc16],
+         "layer 0"),
     ]
+    path = tmp_path / "net.cnnw"
     for layers, named in cases:
         net = Network(layers=layers, code_layer_index=len(layers) - 1,
                       in_channels=1, in_height=4, in_width=4)
         with pytest.raises(ShapeChainError, match=named):
             validate_network(net)
+        with pytest.raises(ShapeChainError, match=named):
+            save_network(net, path)
+        assert not path.exists()
 
 
 def test_code_layer_must_be_fc():

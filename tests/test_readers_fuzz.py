@@ -119,7 +119,7 @@ def dataset_dir(tmp_path_factory):
 def test_dataset_reader(dataset_dir, data):
     _write(dataset_dir / "manifest.csv", data)
     try:
-        load, labels = dataset_loader(dataset_dir)
+        load, labels = dataset_loader(dataset_dir, 8000)
         clips = [load(i) for i in range(len(labels))]
     except SynthError:
         return
@@ -194,6 +194,10 @@ SOFTMAX_THEN_CONV = (
 @example(VALID_NETWORK)
 @example(b"CNNW" + struct.pack("<IIIIIBI", 1, 1, 4, 4, 0, 0, 1)
          + struct.pack("<BII", 4, BIG, BIG))
+# a conv of zero output channels: an empty payload, and three dimensions
+# that numpy cannot shape
+@example(b"CNNW" + struct.pack("<IIIIIBI", 1, 1, 4, 4, 0, 0, 1)
+         + struct.pack("<B6I", 1, 0, BIG, BIG, BIG, 1, 0))
 @example(SOFTMAX_THEN_MAXPOOL)
 @example(SOFTMAX_THEN_CONV)
 def test_network_reader(scratch, data):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from whaledet import parallel, synth
-from whaledet.audio import AudioClip, mean_square_power, save_wav
+from whaledet.audio import (
+    AudioClip,
+    SampleRateMismatchError,
+    mean_square_power,
+    save_wav,
+)
 from whaledet.cnn import tiny_vgg
 from whaledet.features import feature_dim, featurize_clips
 from whaledet.spectrogram import StftParams, stft_magnitude
@@ -227,19 +232,10 @@ def test_e6_noise_types_near_uniform():
     counts = {}
     for s in samples:
         counts[s.noise_type] = counts.get(s.noise_type, 0) + 1
-    assert set(counts) == {"wind", "rain", "traffic", "chorus"}
+    assert cfg.noise_types == ("wind", "rain", "traffic", "chorus")
+    assert set(counts) == set(cfg.noise_types)
     for nt, c in counts.items():
         assert abs(c / 1000 - 0.25) <= 0.43 * 0.25, (nt, c)
-
-
-def test_experiment_config_validation():
-    with pytest.raises(SynthError):
-        ExperimentConfig("E7", snr_db=0.0, seed=0)
-    for snr_db in (math.nan, math.inf, -math.inf):
-        with pytest.raises(SynthError, match="snr_db"):
-            ExperimentConfig("E1", snr_db=snr_db, seed=0)
-    assert ExperimentConfig("E6", 0.0, 0).noise_types == (
-        "wind", "rain", "traffic", "chorus")
 
 
 def test_short_unit_center_embedded():
@@ -257,21 +253,13 @@ def test_short_unit_center_embedded():
     assert center_power > 100 * edge_power
 
 
-def test_insufficient_noise_duration_errors():
-    unit = synth_whale_unit(1.0, 300, 600, sample_rate=SR)
-    short_bank = {"clean": [_white(100, 0)]}
-    cfg = ExperimentConfig("E1", snr_db=0.0, seed=0)
-    with pytest.raises(SynthError):
-        build_experiment([unit], short_bank, cfg, 1, 1, window_s=2.0)
-
-
 def test_dataset_write_read_round_trip(tmp_path):
     units, bank = _small_setup()
     cfg = ExperimentConfig("E4", snr_db=5.0, seed=8)
     samples = build_experiment(units, bank, cfg, 3, 2, window_s=2.0)
     manifest = write_dataset(samples, tmp_path / "ds", seed=cfg.seed)
     assert manifest.is_file()
-    load, labels = dataset_loader(tmp_path / "ds")
+    load, labels = dataset_loader(tmp_path / "ds", SR)
     assert labels.tolist() == [1, 1, 1, 0, 0]
     for i, s in enumerate(samples):
         assert np.array_equal(load(i).samples,
@@ -292,25 +280,16 @@ def test_load_noise_bank_layout(tmp_path):
     root = tmp_path / "bank"
     (root / "wind").mkdir(parents=True)
     save_wav(root / "wind" / "w0.wav", _white(4000, 30))
-    bank = load_noise_bank(root)
+    bank = load_noise_bank(root, SR)
     assert list(bank) == ["wind"]
     assert len(bank["wind"][0]) == 4000
     with pytest.raises(SynthError):
-        load_noise_bank(tmp_path / "nope")
-
-
-def test_build_experiment_rejects_mixed_sample_rates():
-    units, bank = _small_setup()
-    cfg = ExperimentConfig("E2", snr_db=0.0, seed=0)
-    slow_unit = AudioClip(units[1].samples, SR / 2)
-    with pytest.raises(SynthError, match="sample rate"):
-        build_experiment([units[0], slow_unit], bank, cfg, 2, 2)
-    wind = [AudioClip(c.samples, SR / 2) for c in bank["wind"]]
-    slow_bank = {**bank, "wind": wind}
-    with pytest.raises(SynthError, match="sample rate"):
-        build_experiment(units, slow_bank, cfg, 2, 2)
-    # a noise type the experiment does not use may have any rate
-    build_experiment(units, slow_bank, ExperimentConfig("E3", 0.0, 0), 2, 2)
+        load_noise_bank(tmp_path / "nope", SR)
+    # every clip is read at the run's rate
+    save_wav(root / "wind" / "w1.wav", AudioClip(np.ones(4000), SR / 2))
+    with pytest.raises(SampleRateMismatchError, match=r"w1\.wav: audio at "
+                       r"4000 Hz, config sample_rate is 8000 Hz"):
+        load_noise_bank(root, SR)
 
 
 @pytest.fixture
