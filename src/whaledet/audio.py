@@ -7,7 +7,9 @@ clips are never modified in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import struct
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,42 +62,221 @@ class AudioClip:
     def __len__(self) -> int:
         return len(self.samples)
 
+    def span(self, start: int, stop: int) -> "AudioClip":
+        """Samples start .. stop - 1 of the clip, sharing its memory."""
+        return AudioClip(self.samples[start:stop], self.sample_rate_hz)
 
-def load_wav(path, sample_rate: float) -> AudioClip:
-    """Read a PCM16 or float32 WAV file at sample_rate Hz as a mono AudioClip.
 
-    PCM16 samples are scaled by 1/32768; float32 payloads holding a NaN or
-    infinite sample are rejected; multichannel audio is averaged down to
-    mono.  No resampling is performed: a file at any other rate raises
+# the GUID tail of a WAVE_FORMAT_EXTENSIBLE subformat, by byte order
+_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x008\x9bq",
+              ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x008\x9bq"}
+
+
+def _parse_wav(fh, file_len: int):
+    """Walk the RIFF chunks of an open WAV file as scipy's wavfile.read
+    does, reading no payload: the (rate, channels, dtype, byte offset,
+    frames) of the last data chunk, the rate from the last fmt chunk.
+    Raises (ValueError, struct.error and others) where wavfile.read raises
+    on the same bytes, which tests/test_readers_fuzz.py checks."""
+    kind = fh.read(4)
+    if kind not in (b"RIFF", b"RIFX", b"RF64"):
+        raise ValueError(f"file format {kind!r} not understood, only 'RIFF', "
+                         "'RIFX' and 'RF64' are")
+    order = ">" if kind == b"RIFX" else "<"
+
+    def u32() -> int:
+        return struct.unpack(order + "I", fh.read(4))[0]
+
+    rf64_size = None
+    if kind == b"RF64":
+        fh.read(4)
+        form = fh.read(4)
+        if fh.read(4) != b"ds64":
+            raise ValueError("RF64 file without a ds64 chunk")
+        ds64_size = u32()
+        end, rf64_size = struct.unpack("<QQ", fh.read(16))
+        fh.seek(ds64_size - 16, 1)
+    else:
+        end = u32()
+        form = fh.read(4)
+    end += 8
+    if form != b"WAVE":
+        raise ValueError(f"RIFF form type {form!r} is not WAVE")
+    fmt = data = None
+    while fh.tell() < end:
+        chunk = fh.read(4)
+        if len(chunk) < 4:  # the end of the file
+            if data is None:
+                raise ValueError("unexpected end of file")
+            break
+        if chunk == b"fmt ":
+            size = u32()
+            if size < 16:
+                raise ValueError("fmt chunk shorter than 16 bytes")
+            tag, channels, rate, byte_rate, block_align, bits = \
+                struct.unpack(order + "HHIIHH", fh.read(16))
+            done = 16
+            if tag == 0xFFFE and size >= 18:  # WAVE_FORMAT_EXTENSIBLE
+                if struct.unpack(order + "H", fh.read(2))[0] < 22:
+                    raise ValueError("extensible fmt chunk too short")
+                guid = fh.read(22)[6:]
+                done += 24
+                if guid.endswith(_GUID_TAIL[order]):
+                    tag = struct.unpack(order + "I", guid[:4])[0]
+            if tag not in (1, 3):  # PCM, IEEE float
+                raise ValueError(f"unknown wave file format {tag:#06x}")
+            # past the rest of the chunk, where reading it would leave the
+            # file, then its pad byte
+            here = fh.tell()
+            fh.seek(min(here + max(size - done, 0), max(file_len, here))
+                    + size % 2)
+            if tag == 1 and byte_rate != rate * block_align:
+                raise ValueError("nAvgBytesPerSec is not nSamplesPerSec "
+                                 "times nBlockAlign")
+            fmt = tag, channels, rate, block_align, bits
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before data")
+            tag, channels, _, block_align, bits = fmt
+            if rf64_size is None:
+                size = u32()
+            else:
+                fh.read(4)
+                size = rf64_size
+            width = block_align // channels
+            count = size // width
+            if tag == 3:
+                if bits not in (32, 64):
+                    raise ValueError(f"{bits}-bit floating-point data")
+                dtype = np.dtype(f"{order}f{width}")
+            elif 1 <= bits <= 8:
+                dtype = np.dtype("u1")
+            elif width in (3, 5, 6, 7):  # read as bytes
+                dtype, count = np.dtype("V1"), size
+            elif bits <= 64:
+                dtype = np.dtype(f"{order}i{width}")
+            else:
+                raise ValueError(f"{bits}-bit integer data")
+            start = fh.tell()
+            got = min(count, max(file_len - start, 0) // dtype.itemsize)
+            # a payload cut short is read to the end of the file
+            fh.seek(start + got * dtype.itemsize if got == count
+                    else max(file_len, start))
+            fh.seek(size % 2, 1)
+            if dtype == "V1":
+                if got % width:
+                    raise ValueError("payload is not whole samples")
+                dtype = np.dtype(f"{order}i{4 if width == 3 else 8}")
+                got //= width
+            if got % channels:
+                raise ValueError("payload is not whole frames")
+            data = channels, dtype, start, got // channels
+        else:
+            size = fh.read(4)
+            if size:
+                size = struct.unpack(order + "I", size)[0]
+                fh.seek(size + size % 2, 1)
+    return (fmt[2], *data)
+
+
+@dataclass(frozen=True)
+class WavRange:
+    """Frames start .. stop - 1 of a checked PCM16 or float32 WAV file,
+    read from disk only by read(); open_wav makes one for the whole file."""
+
+    path: Path
+    sample_rate_hz: float
+    channels: int
+    dtype: np.dtype
+    offset: int  # of frame 0, in bytes
+    start: int
+    stop: int
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def span(self, start: int, stop: int) -> "WavRange":
+        """Frames start .. stop - 1 of this range."""
+        return replace(self, start=self.start + start,
+                       stop=self.start + stop)
+
+    def read(self) -> AudioClip:
+        """The range as a mono AudioClip, read with one pread: PCM16 samples
+        scaled by 1/32768, channels averaged; a NaN or infinite float32
+        sample raises NonFiniteAudioError."""
+        shape = (len(self),) + ((self.channels,) if self.channels > 1 else ())
+        data = np.empty(shape, self.dtype)
+        with open(self.path, "rb") as fh:
+            got = pread_into(fh.fileno(), data, self.offset
+                             + self.start * self.channels * self.dtype.itemsize)
+        if got != data.nbytes:  # the file shrank since it was opened
+            raise UnreadableFileError(
+                f"{self.path}: short read, {got} of {data.nbytes} bytes")
+        samples = data.astype(np.float64)
+        if self.dtype == np.int16:
+            samples /= 32768.0
+        elif not np.isfinite(samples).all():
+            raise NonFiniteAudioError(
+                f"{self.path}: NaN or infinite sample values")
+        if self.channels > 1:
+            samples = samples.mean(axis=1)
+        return AudioClip(samples=samples, sample_rate_hz=self.sample_rate_hz)
+
+
+def open_wav(path, sample_rate: float) -> WavRange:
+    """The whole of a PCM16 or float32 WAV file at sample_rate Hz, its
+    header parsed and checked here; its samples are read by read().
+
+    No resampling is performed: a file at any other rate raises
     SampleRateMismatchError.
     """
     path = Path(path)
     if not path.is_file():
         raise UnreadableFileError(f"cannot read WAV file: {path}")
     try:
-        rate, data = wavfile.read(str(path))
+        with open(path, "rb") as fh:
+            rate, channels, dtype, offset, frames = _parse_wav(
+                fh, os.fstat(fh.fileno()).st_size)
     except Exception as exc:
         raise UnreadableFileError(f"cannot parse WAV file {path}: {exc}") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-        if not np.isfinite(samples).all():
-            raise NonFiniteAudioError(f"{path}: NaN or infinite sample values")
-    else:
+    if dtype not in (np.int16, np.float32):
         raise UnsupportedEncodingError(
-            f"{path}: unsupported WAV sample format {data.dtype} "
+            f"{path}: unsupported WAV sample format {dtype} "
             "(expected int16 PCM or float32)"
         )
-    if samples.ndim > 1:
-        samples = samples.mean(axis=1)
-    if samples.size == 0:
+    if frames == 0:
         raise EmptyAudioError(f"{path}: zero-length audio payload")
     if rate != sample_rate:
         raise SampleRateMismatchError(
             f"{path}: audio at {rate:g} Hz, config sample_rate is "
             f"{sample_rate:g} Hz")
-    return AudioClip(samples=samples, sample_rate_hz=float(rate))
+    return WavRange(path, float(rate), channels, dtype, offset, 0, frames)
+
+
+def load_wav(path, sample_rate: float) -> AudioClip:
+    """Read a PCM16 or float32 WAV file at sample_rate Hz as a mono AudioClip
+    (open_wav(path, sample_rate).read()).
+
+    PCM16 samples are scaled by 1/32768; float32 payloads holding a NaN or
+    infinite sample are rejected; multichannel audio is averaged down to
+    mono.  No resampling is performed: a file at any other rate raises
+    SampleRateMismatchError.
+    """
+    return open_wav(path, sample_rate).read()
+
+
+def pread_into(fd: int, buf: np.ndarray, offset: int) -> int:
+    """Fill the C-contiguous array buf from fd's bytes at offset, with one
+    pread unless the kernel returns part of them; the bytes read, fewer than
+    buf's only at the end of the file."""
+    view = memoryview(buf.reshape(-1).view(np.uint8))
+    done = 0
+    while done < len(view):
+        n = os.preadv(fd, [view[done:]], offset + done)
+        if n == 0:
+            break
+        done += n
+    return done
 
 
 def save_wav(path, clip: AudioClip) -> None:
@@ -133,8 +314,11 @@ def normalize_unit(clip: AudioClip) -> AudioClip:
     return AudioClip(clip.samples / peak, clip.sample_rate_hz)
 
 
-def frame_windows(clip: AudioClip, window_s: float = 2.0) -> list[AudioClip]:
-    """Cut a clip into contiguous non-overlapping windows of window_s seconds.
+def frame_windows(clip: AudioClip | WavRange, window_s: float = 2.0
+                  ) -> list[AudioClip] | list[WavRange]:
+    """Cut a clip into contiguous non-overlapping windows of window_s seconds,
+    each clip.span of it: views of an AudioClip, or of a WavRange ranges
+    whose samples stay on disk until a window is read.
 
     The trailing remainder shorter than one window is discarded.
     """
@@ -149,11 +333,8 @@ def frame_windows(clip: AudioClip, window_s: float = 2.0) -> list[AudioClip]:
             f"clip of {len(clip)} samples is shorter than one "
             f"{window_len}-sample window"
         )
-    return [
-        AudioClip(clip.samples[m * window_len : (m + 1) * window_len],
-                  clip.sample_rate_hz)
-        for m in range(n)
-    ]
+    return [clip.span(m * window_len, (m + 1) * window_len)
+            for m in range(n)]
 
 
 def mean_square_power(clip: AudioClip) -> float:

@@ -25,11 +25,13 @@ from .audio import (
     frame_windows,
     load_wav,
     make_dir,
+    open_wav,
     require_makeable_dir,
 )
 from .cnn import NetworkError, load_network, tiny_vgg
 from .features import (
     FeatureError,
+    FeatureReader,
     FeatureWriter,
     feature_dim,
     featurize_clips,
@@ -267,10 +269,16 @@ def cmd_featurize(args) -> int:
         # row i's WAV is read on the thread that featurizes it
         window, labels = dataset_loader(in_dir, cfg.sample_rate)
     else:
-        windows = frame_windows(load_wav(in_dir, cfg.sample_rate),
-                                cfg.window_s)
-        window = windows.__getitem__
+        # window i's samples are read on the thread that featurizes row i;
+        # the samples past the last window are read here, so that a NaN
+        # anywhere in the file fails before any row is
+        wav = open_wav(in_dir, cfg.sample_rate)
+        windows = frame_windows(wav, cfg.window_s)
+        wav.span(len(windows) * len(windows[0]), len(wav)).read()
         labels = np.full(len(windows), -1, dtype=np.int64)
+
+        def window(i: int):
+            return windows[i].read()
     out = Path(args.out)
     # opened before any window is read; each row goes to the file as it is
     # computed
@@ -309,15 +317,16 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    # the pool and fold buffers then take fresh pages wherever earlier work
-    # in this process left free heap, so the peak does not hang on its layout
+    # the fold buffers then take fresh pages wherever earlier work in this
+    # process left free heap, so the peak does not hang on its layout
     release_free_heap()
-    X = load_features(args.feature_file)
-    y = load_labels(args.labels)
-    result = ev.run_monte_carlo(
-        X, y, n_iter=cfg.n_iter, n_train=cfg.n_train, n_test=cfg.n_test,
-        seed=cfg.seed, c_param=cfg.c_param, max_iter=cfg.svm_max_iter,
-    )
+    # the folds read their rows from the file: no pool is held
+    with FeatureReader(args.feature_file) as X:
+        y = load_labels(args.labels)
+        result = ev.run_monte_carlo(
+            X, y, n_iter=cfg.n_iter, n_train=cfg.n_train, n_test=cfg.n_test,
+            seed=cfg.seed, c_param=cfg.c_param, max_iter=cfg.svm_max_iter,
+        )
     with open(args.out, "w") as fh:
         fh.write(",".join(ev.SWEEP_CSV_FIELDS) + "\n")
         fh.write(",".join(ev.sweep_row(result)) + "\n")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svm
+from .features import FeatureReader
 from .parallel import map_chunks
 
 
@@ -71,7 +72,7 @@ def _draw_split(labels: np.ndarray, n_train: int, n_test: int, rng):
 
 
 def run_monte_carlo(
-    features: np.ndarray,
+    features: np.ndarray | FeatureReader,
     labels: np.ndarray,
     n_iter: int = 100,
     n_train: int = 300,
@@ -83,21 +84,30 @@ def run_monte_carlo(
     """Repeated random resampling of the rows of features (n_samples x dim)
     and their {0, 1} labels: train an SVM, score the held-out test set.
 
-    Each fold's features are centered and scaled by statistics computed
-    from the training draw only.  The folds run on the threads map_chunks
-    chooses, each with one fold buffer that holds a fold's training rows
-    and then, once the SVM is trained, its test rows, and no more threads
-    than half the available memory holds; each fold's counts land in its
-    row of the result.
+    features is a matrix, such as the float32 pool of a sweep cell, or an
+    open feature file, whose rows are read when a fold asks for them, so
+    that no n_samples x dim pool is held.  Each fold's features are
+    centered and scaled by statistics computed from the training draw
+    only.  The folds run on the threads map_chunks chooses, each with one
+    fold buffer that holds a fold's training rows and then, once the SVM is
+    trained, its test rows, and no more threads than half the available
+    memory holds; each fold's counts land in its row of the result.
     """
-    # a float32 pool (what featurize makes) stays float32: the folds widen it
-    features = np.asarray(features)
+    if isinstance(features, FeatureReader):
+        read_row = features.read
+    else:
+        # a float32 pool stays float32: the folds widen it
+        features = np.asarray(features)
+
+        def read_row(j: int, stage: np.ndarray) -> np.ndarray:
+            return features[j]
+
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2:
+    if len(features.shape) != 2:
         raise EvalError("features must be a 2-D matrix")
-    if len(features) != len(labels):
-        raise EvalError(
-            f"{len(features)} feature rows vs {len(labels)} labels")
+    n, dim = features.shape
+    if n != len(labels):
+        raise EvalError(f"{n} feature rows vs {len(labels)} labels")
     classes = np.unique(labels).tolist()
     if not set(classes) <= {0, 1}:
         raise EvalError(f"labels must be in {{0, 1}}, got {classes}")
@@ -112,22 +122,24 @@ def run_monte_carlo(
     if min(n_train, n_test) < 2:
         raise EvalError(f"a {n_train}+{n_test} split cannot hold both classes "
                         "in both halves")
-    dim = features.shape[1]
     counts = np.empty((n_iter, len(COUNTS)), dtype=np.int64)
 
-    def fill(buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # row by row, so a float32 pool is widened into the buffer
-        # (exactly) without a float64 copy of the pool
+    def fill(buf: np.ndarray, idx: np.ndarray, stage: np.ndarray
+             ) -> np.ndarray:
+        # row by row, so a float32 row, of the pool or read from the file
+        # into stage, is widened into the buffer (exactly) without a
+        # float64 copy of the pool
         for r, j in enumerate(idx.tolist()):
-            buf[r] = features[j]
+            buf[r] = read_row(j, stage)
         return buf[:len(idx)]
 
     def run_folds(iterations) -> None:
         buf = np.empty((max(n_train, n_test), dim))
+        stage = np.empty(dim, dtype="<f4")
         for it in iterations:
             rng = np.random.default_rng([seed, it])
             train_idx, test_idx = _draw_split(labels, n_train, n_test, rng)
-            x_train = fill(buf, train_idx)
+            x_train = fill(buf, train_idx, stage)
             # standardize in place; a non-finite value turns its row NaN
             # quietly here, and svm.train raises NonFiniteFeatureError on it
             with np.errstate(invalid="ignore", over="ignore"):
@@ -140,7 +152,7 @@ def run_monte_carlo(
                               max_iter=max_iter, seed=int(it))
             # the trained model holds no view of x_train, so the test rows
             # take its place in the buffer
-            x_test = fill(buf, test_idx)
+            x_test = fill(buf, test_idx, stage)
             with np.errstate(invalid="ignore", over="ignore"):
                 x_test -= mu
                 x_test /= sd
@@ -148,6 +160,7 @@ def run_monte_carlo(
                                    labels[test_idx])
 
     # a fold thread allocates its float64 buffer and svm.train's scratch
+    # (and a row stage, one float32 row)
     map_chunks(run_folds, n_iter,
                8 * max(n_train, n_test) * dim + svm.scratch_bytes(n_train, dim))
     return MonteCarloResult(counts)

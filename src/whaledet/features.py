@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, make_dir
+from .audio import AudioClip, make_dir, pread_into
 from .cnn import Network, extract_code
 from .parallel import map_chunks
 from .spectrogram import StftParams, stft_spectrogram, to_image
@@ -79,10 +79,13 @@ class FeatureWriter:
     to little-endian float32 and writes it at byte 8 + 4 * dim * i, with
     one pwrite on one descriptor, so threads may write rows in any order.
 
-    As a context manager it writes into a temporary sibling of path:
-    entering writes the header, leaving renames the file to path, or on
-    any exception (MemoryError and KeyboardInterrupt too) removes it, so a
-    run that fails leaves no feature file.
+    As a context manager it writes into a file that has no name yet:
+    entering writes the header, leaving gives the file the name path, and
+    any exception (MemoryError and KeyboardInterrupt too) discards it, so a
+    run that fails leaves no feature file.  On Linux the file is opened
+    with O_TMPFILE, so a process killed outright leaves none either; where
+    O_TMPFILE is refused it is the hidden sibling .<name>.<pid>.tmp until
+    it is renamed or removed.
     """
 
     def __init__(self, path, n: int, dim: int):
@@ -96,8 +99,14 @@ class FeatureWriter:
 
     def __enter__(self) -> "FeatureWriter":
         make_dir(self.path.parent)
-        self._fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-                           0o666)
+        try:
+            self._fd = os.open(self.path.parent,
+                               os.O_TMPFILE | os.O_WRONLY, 0o666)
+            self._named = False
+        except (AttributeError, OSError):  # no O_TMPFILE here
+            self._fd = os.open(self._tmp,
+                               os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            self._named = True
         try:
             self._pwrite(struct.pack("<II", *self.shape), 0)
         except BaseException:
@@ -122,7 +131,16 @@ class FeatureWriter:
 
     def _close(self, keep: bool) -> None:
         try:
+            if keep and not self._named:
+                # the unnamed file takes the name _tmp; a dir fd makes
+                # os.link call linkat(AT_SYMLINK_FOLLOW), which links the
+                # file and not the /proc symlink (the absolute path
+                # ignores the fd)
+                os.link(f"/proc/self/fd/{self._fd}", self._tmp,
+                        src_dir_fd=self._fd)
+        finally:
             os.close(self._fd)
+        try:
             if keep:
                 os.replace(self._tmp, self.path)
         finally:
@@ -138,22 +156,54 @@ def save_features(path, X: np.ndarray) -> None:
             out[i] = row
 
 
+class FeatureReader:
+    """An open feature file whose rows are read when asked for: opening it
+    checks the header against the file's size, reader.shape is (n, dim),
+    and reader.read(i, out) fills out, a C-contiguous float32 array of
+    whole rows, from row i on with one pread, so threads may read rows in
+    any order.  As a context manager it closes the file on leaving.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._fh = open(self.path, "rb", buffering=0)
+        try:
+            header = self._fh.read(8)
+            if len(header) != 8:
+                raise FeatureError(f"{self.path}: truncated feature file "
+                                   "header")
+            n, dim = struct.unpack("<II", header)
+            if dim == 0:
+                raise FeatureError(f"{self.path}: feature rows of length 0")
+            if 4 * n * dim > os.fstat(self._fh.fileno()).st_size - 8:
+                raise FeatureError(f"{self.path}: truncated feature payload "
+                                   f"({n}x{dim} claimed)")
+        except BaseException:
+            self._fh.close()
+            raise
+        self.shape = (n, dim)
+
+    def __enter__(self) -> "FeatureReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._fh.close()
+
+    def read(self, i: int, out: np.ndarray) -> np.ndarray:
+        """out, filled from row i on; a file that shrank since it was
+        opened raises FeatureError."""
+        got = pread_into(self._fh.fileno(), out, 8 + 4 * self.shape[1] * i)
+        if got != out.nbytes:
+            raise FeatureError(f"{self.path}: short read of the feature "
+                               f"payload, {got} of {out.nbytes} bytes at "
+                               f"row {i}")
+        return out
+
+
 def load_features(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise FeatureError(f"{path}: truncated feature file header")
-        n, dim = struct.unpack("<II", header)
-        if dim == 0:
-            raise FeatureError(f"{path}: feature rows of length 0")
-        if 4 * n * dim > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise FeatureError(
-                f"{path}: truncated feature payload ({n}x{dim} claimed)")
-        X = np.empty((n, dim), dtype="<f4")
-        if fh.readinto(X) != X.nbytes:
-            raise FeatureError(f"{path}: short read of the feature payload")
-    return X
+    """The n x dim little-endian float32 matrix of a feature file."""
+    with FeatureReader(path) as reader:
+        return reader.read(0, np.empty(reader.shape, dtype="<f4"))
 
 
 def save_labels(path, labels) -> None:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .audio import (
     AudioClip,
-    AudioError,
     load_wav,
     make_dir,
     mean_square_power,
@@ -448,7 +447,8 @@ def dataset_loader(out_dir, sample_rate: float
 
     The manifest is parsed and every row's sample_id and integer label
     checked here, before any WAV is read; the WAVs are read one at a time,
-    by the thread that asks for one.
+    by the thread that asks for one, and a WAV that cannot be read raises
+    load_wav's AudioError, which names the file.
     """
     out_dir = Path(out_dir)
     manifest = out_dir / "manifest.csv"
@@ -468,9 +468,6 @@ def dataset_loader(out_dir, sample_rate: float
                          "and an integer label") from None
 
     def load(i: int) -> AudioClip:
-        try:
-            return load_wav(paths[i], sample_rate)
-        except AudioError as exc:
-            raise SynthError(f"dataset sample unreadable: {exc}") from exc
+        return load_wav(paths[i], sample_rate)
 
     return load, labels

@@ -173,3 +173,30 @@ def naive_dual_cd(X, labels, c_param=1.0, tol=1e-4, max_iter=1000, seed=0):
         if max_violation < tol:
             break
     return w[:d], float(w[d]), alpha, epochs
+
+
+def scipy_wav_samples(path):
+    """A WAV file's (rate, mono float64 samples) the way whaledet read WAVs
+    before it parsed their headers itself: scipy's wavfile.read of the
+    whole file, PCM16 scaled by 1/32768, float32 widened, channels
+    averaged.  Raises ValueError("encoding") or ValueError("empty") for a
+    file of another sample format or of no samples, and lets
+    wavfile.read's own errors through."""
+    import warnings
+
+    from scipy.io import wavfile
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # chunks wavfile.read skips
+        rate, data = wavfile.read(str(path))
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.float32:
+        samples = data.astype(np.float64)
+    else:
+        raise ValueError("encoding")
+    if samples.ndim > 1:
+        samples = samples.mean(axis=1)
+    if samples.size == 0:
+        raise ValueError("empty")
+    return rate, samples

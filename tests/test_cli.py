@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +17,7 @@ from scipy.io import wavfile
 
 from whaledet import cli, parallel, synth
 from whaledet import evaluate as ev
-from whaledet.audio import load_wav
+from whaledet.audio import load_wav, open_wav
 from whaledet.cli import PipelineConfig, main
 from whaledet.cnn import FcLayer, save_network, tiny_vgg
 from whaledet.features import (
@@ -446,7 +447,7 @@ def test_featurize_checks_its_network_size_before_any_window(
     save_network(tiny_vgg(seed=0, in_size=64), net)
     before = set(tmp_path.iterdir())
     reads = []  # neither the manifest nor a WAV is read
-    for name in ("dataset_loader", "load_wav"):
+    for name in ("dataset_loader", "load_wav", "open_wav"):
         monkeypatch.setattr(cli, name, lambda *args: reads.append(args))
     assert main(["featurize", "--config", cfg, "--in",
                  str(ds if source == "dataset" else ds / "sample_00000.wav"),
@@ -592,9 +593,9 @@ def test_bad_dataset_row_exits_2_with_one_error_line(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "sample_00006.wav" in err[0]
-    if fault == "other-rate":
-        assert "sample_00006.wav: audio at 16000 Hz, config sample_rate is " \
-            "8000 Hz" in err[0]
+    if fault == "other-rate":  # load_wav's error, as it named the file
+        assert err == [f"error: {wav}: audio at 16000 Hz, config "
+                       "sample_rate is 8000 Hz"]
     # no feature file, no labels and no temporary file
     assert list(out_dir.iterdir()) == []
 
@@ -708,6 +709,124 @@ def test_load_features_short_read_is_a_feature_error(tmp_path, monkeypatch):
         lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 4))
     with pytest.raises(FeatureError, match="short read"):
         load_features(feat)
+
+
+def test_evaluate_of_a_file_cut_short_while_open_exits_2(tmp_path, capsys,
+                                                        monkeypatch):
+    # the folds read their rows from the file as they need them; a file
+    # that loses rows once evaluate has opened it fails the fold that reads
+    # one with a FeatureError, not a traceback
+    feat, labels = _oracle_feature_files(tmp_path)
+    real_train = ev.svm.train
+
+    def train_then_truncate(*args, **kwargs):
+        with open(feat, "r+b") as fh:
+            fh.truncate(8 + 4 * 6 * 10)  # 10 rows of 60 left
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(ev.svm, "train", train_then_truncate)
+    out = tmp_path / "eval.csv"
+    try:
+        rc = main(["evaluate", "--features", str(feat), "--labels",
+                   str(labels), "--n-iter", "3", "--n-train", "30",
+                   "--n-test", "20", "--out", str(out)])
+    except Exception as exc:  # the contract is an exit code, never a traceback
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {feat}: short read of the feature "
+                             "payload")
+    assert not out.exists()
+
+
+def test_evaluate_holds_no_feature_pool(tmp_path, monkeypatch):
+    # 400 x 4096 float32 rows (6.6 MB); the folds of 16 + 8 rows hold two
+    # 16 x 4096 float64 buffers and the Gram path's small matrices
+    rng = np.random.default_rng(1)
+    labels = np.array([0, 1] * 200)
+    X = (rng.standard_normal((400, 4096)) + labels[:, None]).astype("<f4")
+    feat = tmp_path / "pool.feat"
+    save_features(feat, X)
+    save_labels(tmp_path / "pool.labels.csv", labels)
+    _set_jobs(monkeypatch, 2)
+    args = ["evaluate", "--features", str(feat), "--labels",
+            str(tmp_path / "pool.labels.csv"), "--n-iter", "4", "--n-train",
+            "16", "--n-test", "8", "--out", str(tmp_path / "eval.csv")]
+    assert main(args) == 0  # first-call allocations
+    assert _traced_peak(lambda: main(args)) < X.nbytes / 4
+
+
+def test_featurize_of_a_wav_holds_about_one_window_per_thread(
+        tmp_path, monkeypatch):
+    # 3 minutes at 8 kHz: ninety 2-s windows, each read on its thread
+    wav = tmp_path / "long.wav"
+    wavfile.write(str(wav), 8000, np.random.default_rng(0).uniform(
+        -0.5, 0.5, 180 * 8000).astype(np.float32))
+    cfg = _cfg(tmp_path)
+    window = open_wav(wav, 8000).span(0, 16000)
+    clip = window.read()
+
+    def one_window():
+        featurize_clips(1, lambda i: clip, np.empty((1, 32 * 32), "<f4"),
+                        None, FAST_STFT, 32)
+
+    one_window()  # first-call allocations
+    bound = 4 * (_traced_peak(window.read) + _traced_peak(one_window))
+    _set_jobs(monkeypatch, 2)
+    peak = _traced_peak(lambda: main([
+        "featurize", "--config", cfg, "--in", str(wav), "--features",
+        "spectrogram", "--out", str(tmp_path / "long.feat")]))
+    assert peak < bound
+    # the bound leaves out the float64 recording that load_wav would hold
+    assert 180 * 8000 * 8 > 2 * bound
+
+
+def test_killed_featurize_leaves_no_file(tmp_path, small_dataset):
+    # the feature file has no name until the run ends, so a featurize that
+    # is killed outright leaves nothing next to --out
+    try:
+        os.close(os.open(tmp_path, os.O_TMPFILE | os.O_WRONLY, 0o600))
+    except (AttributeError, OSError):
+        pytest.skip("no O_TMPFILE here, so the named temporary file stays")
+    cfg, ds = small_dataset
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    # on one thread, the child stops when it asks for row 1's window, with
+    # the file open and row 0 written
+    driver = "\n".join([
+        "import sys, time",
+        "from whaledet import cli, parallel",
+        "parallel.default_jobs = lambda: 1",
+        "real = cli.featurize_clips",
+        "def stalled(n, window, out, **kwargs):",
+        "    def stall_at_row_1(i):",
+        "        if i == 1:",
+        "            print('row 0 written', flush=True)",
+        "            time.sleep(600)",
+        "        return window(i)",
+        "    return real(n, stall_at_row_1, out, **kwargs)",
+        "cli.featurize_clips = stalled",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    child = subprocess.Popen(
+        [sys.executable, "-c", driver, "featurize", "--config", cfg,
+         "--in", str(ds), "--features", "spectrogram",
+         "--out", str(out_dir / "f.feat")],
+        stdout=subprocess.PIPE, text=True, env=env)
+    stuck = threading.Timer(120, child.kill)  # ends a read that would hang
+    stuck.start()
+    try:
+        assert child.stdout.readline() == "row 0 written\n"
+    finally:
+        stuck.cancel()
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+    assert child.returncode == -9
+    assert list(out_dir.iterdir()) == []
 
 
 def _golden_wav(path):
@@ -931,6 +1050,59 @@ def test_featurize_rejects_nan_wav(tmp_path, capsys):
     assert rc == 2
     assert "nan.wav" in capsys.readouterr().err
     assert not feat.exists()
+
+
+# 5.5 s at 8 kHz: two 2-s windows, then a 1.5-s remainder that is dropped
+@pytest.mark.parametrize("where", [2 * 16000 - 1, 5 * 8000],
+                         ids=["last-window", "remainder"])
+def test_featurize_rejects_a_nan_anywhere_in_the_wav(tmp_path, capsys,
+                                                     monkeypatch, where):
+    # each window is read, and checked, on the thread that featurizes it,
+    # and the remainder before any window is; a NaN in either fails the run
+    # and leaves no file
+    samples = np.zeros(11 * 4000, dtype=np.float32)
+    samples[where] = np.nan
+    wav = tmp_path / "nan.wav"
+    wavfile.write(str(wav), 8000, samples)
+    cfg = _cfg(tmp_path)
+    before = set(tmp_path.iterdir())
+    _set_jobs(monkeypatch, 2)
+    rc = main(["featurize", "--config", cfg, "--in", str(wav),
+               "--features", "spectrogram",
+               "--out", str(tmp_path / "nan.feat")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {wav}: NaN or infinite sample values"]
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("dtype, channels", [(np.float32, 1), (np.int16, 2)],
+                         ids=["float32-mono", "pcm16-stereo"])
+def test_featurize_of_a_wav_reads_the_rows_of_the_whole_file(
+        tmp_path, monkeypatch, dtype, channels):
+    # a recording's windows, each read alone on its thread, give the bytes
+    # of reading the whole file and cutting it into windows
+    rng = np.random.default_rng(channels)
+    x = rng.uniform(-0.5, 0.5, (9 * 4000 + 77, channels))  # 4.5 s and more
+    if dtype == np.int16:
+        x *= 32768.0
+    wav = tmp_path / "rec.wav"
+    wavfile.write(str(wav), 8000, x.astype(dtype).squeeze())
+    cfg = _cfg(tmp_path)
+    windows = cli.frame_windows(load_wav(wav, 8000), 2.0)
+    network = tiny_vgg(seed=0, in_size=32)
+    for features, net in (("spectrogram", None), ("cnn", network)):
+        want = tmp_path / f"{features}_whole.feat"
+        save_features(want, featurize_clips(
+            len(windows), windows.__getitem__,
+            np.empty((len(windows), feature_dim(net, 32)), "<f4"), net,
+            FAST_STFT, 32))
+        for jobs in (1, 2):
+            _set_jobs(monkeypatch, jobs)
+            feat = tmp_path / f"{features}_{jobs}.feat"
+            assert main(["featurize", "--config", cfg, "--in", str(wav),
+                         "--features", features, "--out", str(feat)]) == 0
+            assert feat.read_bytes() == want.read_bytes(), (features, jobs)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

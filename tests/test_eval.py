@@ -15,6 +15,7 @@ from whaledet.evaluate import (
     run_monte_carlo,
     sweep_row,
 )
+from whaledet.features import FeatureReader, save_features
 
 
 def test_confusion_perfect():
@@ -128,6 +129,38 @@ def test_monte_carlo_float32_pool_scores_as_its_float64_values(d):
     b = run_monte_carlo(X32.astype(np.float64), labels, **kwargs)
     assert np.array_equal(a.counts, b.counts)
     assert len(set(a.counts[:, 0].tolist())) > 1  # the folds differ
+
+
+@pytest.mark.parametrize("source", ["pool", "file"])
+def test_folds_scale_a_nearly_constant_column_to_unit_variance(
+        tmp_path, monkeypatch, source):
+    # a column that varies by about 1e-8, far below 1 but far above the
+    # floor that keeps a constant column finite, is scaled to unit variance
+    # like any other; a constant column stays at 0
+    rng = np.random.default_rng(3)
+    labels = np.array([0, 1] * 40)
+    X = rng.standard_normal((80, 3)).astype("<f4")
+    X[:, 1] *= 1e-8
+    X[:, 2] = 5.0
+    seen = []
+    real_train = ev.svm.train
+
+    def train(x, y, **kwargs):
+        seen.append(x.copy())
+        return real_train(x, y, **kwargs)
+
+    monkeypatch.setattr(ev.svm, "train", train)
+    kwargs = dict(n_iter=3, n_train=40, n_test=20)
+    if source == "file":
+        save_features(tmp_path / "x.feat", X)
+        with FeatureReader(tmp_path / "x.feat") as reader:
+            run_monte_carlo(reader, labels, **kwargs)
+    else:
+        run_monte_carlo(X, labels, **kwargs)
+    assert len(seen) == 3
+    for x in seen:
+        assert np.allclose(x[:, :2].std(axis=0), 1.0, rtol=1e-12, atol=0)
+        assert (x[:, 2] == 0.0).all()
 
 
 @pytest.mark.parametrize("X, labels, message", [

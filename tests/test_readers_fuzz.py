@@ -14,9 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from naive_ref import scipy_wav_samples
 from scipy.io import wavfile
 
-from whaledet.audio import AudioClip
+from whaledet.audio import (
+    AudioClip,
+    AudioError,
+    EmptyAudioError,
+    NonFiniteAudioError,
+    SampleRateMismatchError,
+    UnreadableFileError,
+    UnsupportedEncodingError,
+    load_wav,
+    open_wav,
+)
 from whaledet.cli import PipelineConfig, UsageError
 from whaledet.cnn import (
     Network,
@@ -25,7 +36,12 @@ from whaledet.cnn import (
     load_network,
     validate_network,
 )
-from whaledet.features import FeatureError, load_features, load_labels
+from whaledet.features import (
+    FeatureError,
+    FeatureReader,
+    load_features,
+    load_labels,
+)
 from whaledet.svm import SvmError, SvmModel, load_model
 from whaledet.synth import SynthError, dataset_loader
 
@@ -121,7 +137,7 @@ def test_dataset_reader(dataset_dir, data):
     try:
         load, labels = dataset_loader(dataset_dir, 8000)
         clips = [load(i) for i in range(len(labels))]
-    except SynthError:
+    except (SynthError, AudioError):  # a bad manifest, or a bad row's WAV
         return
     assert all(isinstance(c, AudioClip) for c in clips)
     assert labels.dtype == np.int64 and labels.shape == (len(clips),)
@@ -150,12 +166,22 @@ VALID_NETWORK = (
 @example(VALID_FEATURES)
 @example(struct.pack("<II", BIG, BIG) + bytes(8))
 def test_feature_reader(scratch, data):
+    # the row reader that evaluate's folds use opens exactly the files that
+    # load_features reads, and reads the same rows
+    path = _write(scratch / "x.feat", data)
     try:
-        X = load_features(_write(scratch / "x.feat", data))
+        X = load_features(path)
     except FeatureError:
+        with pytest.raises(FeatureError):
+            FeatureReader(path)
         return
     n, dim = struct.unpack("<II", data[:8])
     assert X.dtype == np.float32 and X.shape == (n, dim)
+    with FeatureReader(path) as reader:
+        assert reader.shape == (n, dim)
+        for i in reversed(range(n)):
+            row = reader.read(i, np.empty(dim, dtype="<f4"))
+            assert row.tobytes() == X[i].tobytes()
 
 
 def _network_files():
@@ -211,3 +237,104 @@ def test_network_reader(scratch, data):
     shape = (net.in_channels, net.in_height, net.in_width)
     assume(math.prod(shape) <= 65536)  # no case allocates a huge image
     forward(net, np.zeros(shape))
+
+
+def _chunk(cid: bytes, payload: bytes, size=None) -> bytes:
+    size = len(payload) if size is None else size
+    return cid + struct.pack("<I", size) + payload + bytes(len(payload) % 2)
+
+
+_OTHER_CHUNKS = (_chunk(b"LIST", b"abc"), _chunk(b"JUNK", b""),
+                 _chunk(b"zzzz", b"12"), _chunk(b"fact", b"1234"), b"LI")
+
+
+@st.composite
+def _wav_files(draw):
+    """WAV files near the PCM16 and float32 layouts: fmt fields, chunk
+    order and sizes, RIFF and RF64 headers, each sometimes off."""
+    if draw(st.integers(0, 9)) < 7:
+        tag, width, bits = draw(st.sampled_from(
+            [(1, 2, 16), (3, 4, 32), (1, 2, 12), (3, 8, 64), (1, 1, 8),
+             (1, 3, 24)]))
+        channels = draw(st.sampled_from([1, 1, 2, 3]))
+        rate = draw(st.sampled_from([8000, 8000, 16000]))
+    else:
+        tag = draw(st.sampled_from([1, 3, 0xFFFE, 2]))
+        channels = draw(st.sampled_from([0, 1, 2, 3]))
+        rate = draw(st.sampled_from([8000, 16000]))
+        width = draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8]))
+        bits = draw(st.sampled_from([0, 8, 12, 16, 24, 32, 64, 65]))
+    block = width * channels
+    byte_rate = rate * block + draw(st.sampled_from([0] * 5 + [1]))
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, byte_rate, block, bits)
+    if tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: a subformat GUID
+        fmt += (struct.pack("<HHII", draw(st.sampled_from([22, 10])), bits,
+                            0, draw(st.sampled_from([1, 3, 5])))
+                + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x008\x9bq")
+    fmt += draw(st.sampled_from([b"", b"\0\0", b"x"]))
+    fmt = _chunk(b"fmt ", fmt,
+                 draw(st.sampled_from([None] * 6 + [14, len(fmt) + 8])))
+    n = draw(st.integers(0, 40))
+    payload = draw(st.one_of(
+        st.binary(min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.5, -0.25, 1.0, np.nan]), max_size=10)
+        .map(lambda v: np.array(v, "<f4").tobytes())))
+    data = _chunk(b"data", payload, draw(st.sampled_from(
+        [None] * 4 + [len(payload) + 6, 0, max(len(payload) - 1, 0), BIG])))
+    body = b""
+    for part in draw(st.sampled_from(["fd"] * 6 + ["df", "fdd", "ffd", "d",
+                                                   "fdf"])):
+        body += fmt + b"".join(draw(st.lists(
+            st.sampled_from(_OTHER_CHUNKS[:3]), max_size=2))) \
+            if part == "f" else data
+    body += b"".join(draw(st.lists(st.sampled_from(_OTHER_CHUNKS),
+                                   max_size=2)))
+    size = draw(st.sampled_from([len(body) + 4] * 5
+                                + [len(body) + 100, 2, max(len(body) - 10, 0)]))
+    if draw(st.integers(0, 5)):
+        head = (draw(st.sampled_from([b"RIFF"] * 6 + [b"RIFX", b"XXXX"]))
+                + struct.pack("<I", size)
+                + draw(st.sampled_from([b"WAVE"] * 8 + [b"AVI "])))
+    else:  # RF64: the sizes sit in a ds64 chunk
+        head = b"RF64" + bytes([255] * 4) + b"WAVEds64" + struct.pack(
+            "<IQQ", draw(st.sampled_from([28, 16, 4])), size, draw(
+                st.sampled_from([len(payload), len(payload) + 6, 0, 3]))) \
+            + bytes(12)
+    wav = head + body
+    return wav[:draw(st.sampled_from([len(wav)] * 6
+                                     + [len(wav) - 1, len(wav) - 3, 30, 50]))]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_wav_files())
+@example(struct.pack("<4sI4s", b"RIFF", 36 + 8, b"WAVE")
+         + _chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16))
+         + _chunk(b"data", struct.pack("<4h", 1, -1, 32767, -32768)))
+def test_wav_reader(scratch, data):
+    # whaledet parses WAV headers itself, so that a window's samples can be
+    # read alone; it reads every file as scipy's wavfile.read does, and
+    # raises the error class that reading through wavfile.read raised,
+    # except that the header's rate is now checked before the samples
+    path = _write(scratch / "x.wav", data)
+    try:
+        rate, want = scipy_wav_samples(path)
+    except ValueError as exc:
+        want = {"encoding": UnsupportedEncodingError,
+                "empty": EmptyAudioError}.get(str(exc), UnreadableFileError)
+    except Exception:
+        want = UnreadableFileError
+    else:
+        if rate != 8000:
+            want = SampleRateMismatchError
+        elif not np.isfinite(want).all():
+            want = NonFiniteAudioError
+    if isinstance(want, np.ndarray):
+        clip = load_wav(path, 8000)
+        assert clip.samples.tobytes() == want.tobytes()
+        assert clip.sample_rate_hz == 8000
+        return
+    with pytest.raises(want):
+        load_wav(path, 8000)
+    if want is not NonFiniteAudioError:  # a header fault
+        with pytest.raises(want):
+            open_wav(path, 8000)

@@ -86,6 +86,23 @@ def test_db_floor_keeps_values_finite():
     assert np.isfinite(spec).all()
 
 
+def test_digital_silence_sits_at_the_db_floor():
+    # segments of exact zeros have |X| = 0, so their dB values, and the
+    # darkest gray of the image, sit at the 1e-12 floor (-120 dB) of the
+    # oracle grid
+    rng = np.random.default_rng(9)
+    samples = rng.standard_normal(512)
+    samples[96:352] = 0.0  # segments 3 to 9 are silent
+    params = StftParams(segment_len=64, hop=32, fft_size=128)
+    want = 10.0 * np.log10(np.maximum(
+        naive_dft_magnitudes(samples, 64, 32, 128), 1e-12))
+    assert (want[:, 3:10] == -120.0).all()
+    got = stft_spectrogram(AudioClip(samples, 8000.0), params)
+    assert np.abs(got - want).max() < 1e-6
+    image = np.round(resize_bilinear(gray_scale(want)[::-1, :], 32, 32))
+    assert np.abs(to_image(got, width=32, height=32) - image).max() <= 1
+
+
 def test_constant_spectrogram_maps_to_128():
     img = to_image(np.full((10, 8), -42.0), width=8, height=10)
     assert (img == 128).all()
