@@ -67,37 +67,37 @@ class AudioClip:
         return AudioClip(self.samples[start:stop], self.sample_rate_hz)
 
 
-# the GUID tail of a WAVE_FORMAT_EXTENSIBLE subformat, by byte order
-_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x008\x9bq",
-              ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x008\x9bq"}
+# the GUID tail of a little-endian WAVE_FORMAT_EXTENSIBLE subformat
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x008\x9bq"
 
 
 def _parse_wav(fh, file_len: int):
-    """Walk the RIFF chunks of an open WAV file as scipy's wavfile.read
-    does, reading no payload: the (rate, channels, dtype, byte offset,
-    frames) of the last data chunk, the rate from the last fmt chunk.
-    Raises (ValueError, struct.error and others) where wavfile.read raises
-    on the same bytes, which tests/test_readers_fuzz.py checks."""
+    """Walk the chunks of an open little-endian RIFF or RF64 WAV file as
+    scipy's wavfile.read does, reading no payload: the (rate, channels,
+    dtype, byte offset, frames) of the last data chunk, the rate from the
+    last fmt chunk.  The dtype is <i2 or <f4, for exactly the files that
+    wavfile.read types as int16 or float32; a RIFX file, or another sample
+    format at the data chunk, raises UnsupportedEncodingError naming the
+    file.  Raises ValueError, struct.error and others where wavfile.read
+    raises on the same bytes, which tests/test_readers_fuzz.py checks."""
     kind = fh.read(4)
-    if kind not in (b"RIFF", b"RIFX", b"RF64"):
-        raise ValueError(f"file format {kind!r} not understood, only 'RIFF', "
-                         "'RIFX' and 'RF64' are")
-    order = ">" if kind == b"RIFX" else "<"
-
-    def u32() -> int:
-        return struct.unpack(order + "I", fh.read(4))[0]
-
+    if kind == b"RIFX":
+        raise UnsupportedEncodingError(
+            f"{fh.name}: unsupported big-endian (RIFX) WAV")
+    if kind not in (b"RIFF", b"RF64"):
+        raise ValueError(f"file format {kind!r} not understood, only 'RIFF' "
+                         "and 'RF64' are")
     rf64_size = None
     if kind == b"RF64":
         fh.read(4)
         form = fh.read(4)
         if fh.read(4) != b"ds64":
             raise ValueError("RF64 file without a ds64 chunk")
-        ds64_size = u32()
+        ds64_size = struct.unpack("<I", fh.read(4))[0]
         end, rf64_size = struct.unpack("<QQ", fh.read(16))
         fh.seek(ds64_size - 16, 1)
     else:
-        end = u32()
+        end = struct.unpack("<I", fh.read(4))[0]
         form = fh.read(4)
     end += 8
     if form != b"WAVE":
@@ -110,21 +110,23 @@ def _parse_wav(fh, file_len: int):
                 raise ValueError("unexpected end of file")
             break
         if chunk == b"fmt ":
-            size = u32()
+            size = struct.unpack("<I", fh.read(4))[0]
             if size < 16:
                 raise ValueError("fmt chunk shorter than 16 bytes")
             tag, channels, rate, byte_rate, block_align, bits = \
-                struct.unpack(order + "HHIIHH", fh.read(16))
+                struct.unpack("<HHIIHH", fh.read(16))
             done = 16
             if tag == 0xFFFE and size >= 18:  # WAVE_FORMAT_EXTENSIBLE
-                if struct.unpack(order + "H", fh.read(2))[0] < 22:
+                if struct.unpack("<H", fh.read(2))[0] < 22:
                     raise ValueError("extensible fmt chunk too short")
                 guid = fh.read(22)[6:]
                 done += 24
-                if guid.endswith(_GUID_TAIL[order]):
-                    tag = struct.unpack(order + "I", guid[:4])[0]
+                if guid.endswith(_GUID_TAIL):
+                    tag = struct.unpack("<I", guid[:4])[0]
             if tag not in (1, 3):  # PCM, IEEE float
-                raise ValueError(f"unknown wave file format {tag:#06x}")
+                raise UnsupportedEncodingError(
+                    f"{fh.name}: unsupported WAV format tag {tag:#06x} "
+                    "(expected PCM16 or float32)")
             # past the rest of the chunk, where reading it would leave the
             # file, then its pad byte
             here = fh.tell()
@@ -139,42 +141,32 @@ def _parse_wav(fh, file_len: int):
                 raise ValueError("no fmt chunk before data")
             tag, channels, _, block_align, bits = fmt
             if rf64_size is None:
-                size = u32()
+                size = struct.unpack("<I", fh.read(4))[0]
             else:
                 fh.read(4)
                 size = rf64_size
             width = block_align // channels
+            # the two of wavfile.read's sample formats that whaledet reads
+            if not (tag == 1 and width == 2 and (bits == 0 or 9 <= bits <= 64)
+                    or tag == 3 and width == 4 and bits in (32, 64)):
+                raise UnsupportedEncodingError(
+                    f"{fh.name}: unsupported WAV sample format: tag {tag}, "
+                    f"{bits} bits in {width} bytes (expected PCM16 or float32)")
             count = size // width
-            if tag == 3:
-                if bits not in (32, 64):
-                    raise ValueError(f"{bits}-bit floating-point data")
-                dtype = np.dtype(f"{order}f{width}")
-            elif 1 <= bits <= 8:
-                dtype = np.dtype("u1")
-            elif width in (3, 5, 6, 7):  # read as bytes
-                dtype, count = np.dtype("V1"), size
-            elif bits <= 64:
-                dtype = np.dtype(f"{order}i{width}")
-            else:
-                raise ValueError(f"{bits}-bit integer data")
             start = fh.tell()
-            got = min(count, max(file_len - start, 0) // dtype.itemsize)
+            got = min(count, max(file_len - start, 0) // width)
             # a payload cut short is read to the end of the file
-            fh.seek(start + got * dtype.itemsize if got == count
+            fh.seek(start + got * width if got == count
                     else max(file_len, start))
             fh.seek(size % 2, 1)
-            if dtype == "V1":
-                if got % width:
-                    raise ValueError("payload is not whole samples")
-                dtype = np.dtype(f"{order}i{4 if width == 3 else 8}")
-                got //= width
             if got % channels:
                 raise ValueError("payload is not whole frames")
-            data = channels, dtype, start, got // channels
+            data = (channels, np.dtype("<i2" if tag == 1 else "<f4"), start,
+                    got // channels)
         else:
             size = fh.read(4)
             if size:
-                size = struct.unpack(order + "I", size)[0]
+                size = struct.unpack("<I", size)[0]
                 fh.seek(size + size % 2, 1)
     return (fmt[2], *data)
 
@@ -237,13 +229,10 @@ def open_wav(path, sample_rate: float) -> WavRange:
         with open(path, "rb") as fh:
             rate, channels, dtype, offset, frames = _parse_wav(
                 fh, os.fstat(fh.fileno()).st_size)
+    except UnsupportedEncodingError:
+        raise
     except Exception as exc:
         raise UnreadableFileError(f"cannot parse WAV file {path}: {exc}") from exc
-    if dtype not in (np.int16, np.float32):
-        raise UnsupportedEncodingError(
-            f"{path}: unsupported WAV sample format {dtype} "
-            "(expected int16 PCM or float32)"
-        )
     if frames == 0:
         raise EmptyAudioError(f"{path}: zero-length audio payload")
     if rate != sample_rate:

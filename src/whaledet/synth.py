@@ -420,7 +420,9 @@ def load_noise_bank(root, sample_rate: float) -> dict[str, list[AudioClip]]:
 
 
 def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:
-    """Write sample WAVs plus a manifest CSV; returns the manifest path."""
+    """Write sample WAVs plus a manifest CSV; returns the manifest path.
+    The sample_<k>.wav files that the manifest does not list are deleted,
+    and no other file is touched."""
     out_dir = Path(out_dir)
     make_dir(out_dir)
     manifest = out_dir / "manifest.csv"
@@ -437,6 +439,12 @@ def write_dataset(samples: list[MixedSample], out_dir, seed: int) -> Path:
                 "" if math.isnan(s.achieved_snr_db) else f"{s.achieved_snr_db:.9f}",
                 seed,
             ])
+    # the sample WAVs of an earlier, larger dataset written here
+    for path in out_dir.glob("sample_*.wav"):
+        k = path.name[len("sample_"):-len(".wav")]
+        if (k.isdecimal() and path.name == f"sample_{int(k):05d}.wav"
+                and int(k) >= len(samples) and not path.is_dir()):
+            path.unlink()
     return manifest
 
 

@@ -181,7 +181,12 @@ def scipy_wav_samples(path):
     whole file, PCM16 scaled by 1/32768, float32 widened, channels
     averaged.  Raises ValueError("encoding") or ValueError("empty") for a
     file of another sample format or of no samples, and lets
-    wavfile.read's own errors through."""
+    wavfile.read's own errors through.  A big-endian (RIFX) file, which
+    wavfile.read reads as >i2 or >f4, is of another sample format here,
+    as whaledet refuses it; where wavfile.read raises its own error on a
+    file of another sample format, whaledet raises UnsupportedEncodingError
+    once its header walk meets that format, so test_wav_reader allows that
+    class there too."""
     import warnings
 
     from scipy.io import wavfile

@@ -108,6 +108,29 @@ def test_synth_reruns_from_its_run_config(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_synth_over_a_larger_dataset_leaves_only_the_smaller(tmp_path):
+    # the WAVs of an earlier, larger dataset that the new manifest does not
+    # list are deleted; files of any other name are kept
+    out, fresh = tmp_path / "ds", tmp_path / "fresh"
+    argv = ["--experiment", "E1", "--snr", "0", "--seed", "2"]
+    assert main(["synth", "--config", _cfg(tmp_path, ["n_pos=6", "n_neg=6"]),
+                 *argv, "--out", str(out)]) == 0
+    others = {"notes.txt": b"a", "sample_7.wav": b"b",
+              "sample_000011.wav": b"c", "sample_00011.wav.bak": b"d"}
+    for name, data in others.items():
+        (out / name).write_bytes(data)
+    small = _cfg(tmp_path, ["n_pos=2", "n_neg=2"])
+    for d in (out, fresh):
+        assert main(["synth", "--config", small, *argv, "--out", str(d)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert len(names) == 2 + 2 + 2  # manifest, run_config and 4 WAVs
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, *others])
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    for name, data in others.items():
+        assert (out / name).read_bytes() == data
+
+
 @pytest.fixture()
 def small_dataset(tmp_path):
     cfg = _cfg(tmp_path, ["n_pos=5", "n_neg=5"])
@@ -1074,6 +1097,28 @@ def test_featurize_rejects_a_nan_anywhere_in_the_wav(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         f"error: {wav}: NaN or infinite sample values"]
     assert set(tmp_path.iterdir()) == before
+
+
+def test_featurize_refuses_a_big_endian_wav_by_name(tmp_path, capsys):
+    # a RIFX PCM16 file, which scipy reads as >i2, is refused at its magic
+    # as an unsupported format: exit 2, one error line, no file made
+    samples = np.arange(3 * 8000, dtype=">i2")
+    wav = tmp_path / "rifx.wav"
+    wav.write_bytes(
+        struct.pack(">4sI4s4sIHHIIHH4sI", b"RIFX", 36 + samples.nbytes,
+                    b"WAVE", b"fmt ", 16, 1, 1, 8000, 16000, 2, 16, b"data",
+                    samples.nbytes) + samples.tobytes())
+    assert wavfile.read(str(wav))[1].dtype == ">i2"
+    cfg = _cfg(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    rc = main(["featurize", "--config", cfg, "--in", str(wav),
+               "--features", "spectrogram",
+               "--out", str(tmp_path / "rifx.feat")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {wav}: ")
+    assert "big-endian" in err[0]
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("dtype, channels", [(np.float32, 1), (np.int16, 2)],

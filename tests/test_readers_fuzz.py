@@ -247,11 +247,45 @@ def _chunk(cid: bytes, payload: bytes, size=None) -> bytes:
 _OTHER_CHUNKS = (_chunk(b"LIST", b"abc"), _chunk(b"JUNK", b""),
                  _chunk(b"zzzz", b"12"), _chunk(b"fact", b"1234"), b"LI")
 
+# the GUID tail of a WAVE_FORMAT_EXTENSIBLE subformat
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x008\x9bq"
+
+
+def _pcm16_or_float32(tag: int, width: int, bits: int) -> bool:
+    """Whether wavfile.read types samples of this format tag (after the
+    subformat GUID), sample width and bit depth as int16 or float32."""
+    return (tag == 1 and width == 2 and (bits == 0 or 9 <= bits <= 64)
+            or tag == 3 and width == 4 and bits in (32, 64))
+
+
+def _wav_example(tag, width, bits, payload, magic=b"RIFF", subformat=None):
+    """A mono 8 kHz WAV holding payload in one format, as _wav_files draws
+    it: (bytes, magic, whether its format is PCM16 or float32).  A RIFX
+    file's sizes are big-endian.  An RF64 file's data chunk header gives
+    the size as 2**32 - 1, as RF64 writers do, and another chunk follows."""
+    order = ">" if magic == b"RIFX" else "<"
+    fmt = struct.pack(order + "HHIIHH", tag, 1, 8000, 8000 * width, width,
+                      bits)
+    if subformat is not None:  # tag 0xFFFE
+        fmt += struct.pack("<HHII", 22, bits, 0, subformat) + GUID_TAIL
+    body = (b"fmt " + struct.pack(order + "I", len(fmt)) + fmt + b"data"
+            + struct.pack(order + "I", BIG if magic == b"RF64" else len(payload))
+            + payload + bytes(len(payload) % 2))
+    if magic == b"RF64":
+        body += _OTHER_CHUNKS[0]
+        head = b"RF64" + bytes([255] * 4) + b"WAVEds64" + struct.pack(
+            "<IQQ", 28, len(body) + 40, len(payload)) + bytes(12)
+    else:
+        head = magic + struct.pack(order + "I", len(body) + 4) + b"WAVE"
+    return head + body, magic, _pcm16_or_float32(
+        tag if subformat is None else subformat, width, bits)
+
 
 @st.composite
 def _wav_files(draw):
     """WAV files near the PCM16 and float32 layouts: fmt fields, chunk
-    order and sizes, RIFF and RF64 headers, each sometimes off."""
+    order and sizes, RIFF and RF64 headers, each sometimes off.  Each is
+    drawn as (bytes, magic, whether its drawn format is PCM16 or float32)."""
     if draw(st.integers(0, 9)) < 7:
         tag, width, bits = draw(st.sampled_from(
             [(1, 2, 16), (3, 4, 32), (1, 2, 12), (3, 8, 64), (1, 1, 8),
@@ -268,9 +302,9 @@ def _wav_files(draw):
     byte_rate = rate * block + draw(st.sampled_from([0] * 5 + [1]))
     fmt = struct.pack("<HHIIHH", tag, channels, rate, byte_rate, block, bits)
     if tag == 0xFFFE:  # WAVE_FORMAT_EXTENSIBLE: a subformat GUID
+        tag = draw(st.sampled_from([1, 3, 5]))
         fmt += (struct.pack("<HHII", draw(st.sampled_from([22, 10])), bits,
-                            0, draw(st.sampled_from([1, 3, 5])))
-                + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x008\x9bq")
+                            0, tag) + GUID_TAIL)
     fmt += draw(st.sampled_from([b"", b"\0\0", b"x"]))
     fmt = _chunk(b"fmt ", fmt,
                  draw(st.sampled_from([None] * 6 + [14, len(fmt) + 8])))
@@ -292,29 +326,79 @@ def _wav_files(draw):
     size = draw(st.sampled_from([len(body) + 4] * 5
                                 + [len(body) + 100, 2, max(len(body) - 10, 0)]))
     if draw(st.integers(0, 5)):
-        head = (draw(st.sampled_from([b"RIFF"] * 6 + [b"RIFX", b"XXXX"]))
-                + struct.pack("<I", size)
+        magic = draw(st.sampled_from([b"RIFF"] * 6 + [b"RIFX", b"XXXX"]))
+        head = (magic + struct.pack("<I", size)
                 + draw(st.sampled_from([b"WAVE"] * 8 + [b"AVI "])))
     else:  # RF64: the sizes sit in a ds64 chunk
-        head = b"RF64" + bytes([255] * 4) + b"WAVEds64" + struct.pack(
+        magic = b"RF64"
+        head = magic + bytes([255] * 4) + b"WAVEds64" + struct.pack(
             "<IQQ", draw(st.sampled_from([28, 16, 4])), size, draw(
                 st.sampled_from([len(payload), len(payload) + 6, 0, 3]))) \
             + bytes(12)
     wav = head + body
-    return wav[:draw(st.sampled_from([len(wav)] * 6
-                                     + [len(wav) - 1, len(wav) - 3, 30, 50]))]
+    return (wav[:draw(st.sampled_from([len(wav)] * 6
+                                      + [len(wav) - 1, len(wav) - 3, 30, 50]))],
+            magic, _pcm16_or_float32(tag, width, bits))
+
+
+_F32 = np.array([0.5, -0.25, 1.0, 0.0], "<f4").tobytes()
+_I16 = np.array([1, -1, 32767, -32768], "<i2").tobytes()
+
+
+def _pcm16_fmt(rate=8000, byte_rate=None) -> bytes:
+    """The fmt chunk of mono PCM16 at rate Hz."""
+    return _chunk(b"fmt ", struct.pack(
+        "<HHIIHH", 1, 1, rate, 2 * rate if byte_rate is None else byte_rate,
+        2, 16))
+
+
+def _riff(*chunks):
+    """A RIFF WAV of these chunks, with the magic and the PCM16 format
+    flag that _wav_files draws with it."""
+    body = b"".join(chunks)
+    return (struct.pack("<4sI4s", b"RIFF", len(body) + 4, b"WAVE") + body,
+            b"RIFF", True)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(_wav_files())
-@example(struct.pack("<4sI4s", b"RIFF", 36 + 8, b"WAVE")
-         + _chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16))
-         + _chunk(b"data", struct.pack("<4h", 1, -1, 32767, -32768)))
-def test_wav_reader(scratch, data):
+@example(_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4,
+                                           16)),
+               _chunk(b"data", struct.pack("<4h", 1, -1, 32767, -32768))))
+# each side of the line between the formats read and the formats refused
+@example(_wav_example(1, 1, 8, bytes([0, 64, 128, 255])))  # unsigned 8-bit
+@example(_wav_example(1, 2, 12, _I16))  # 12 bits in 2 bytes: int16
+@example(_wav_example(1, 2, 0, _I16))  # no bit depth, 2 bytes: int16
+@example(_wav_example(1, 2, 64, _I16))  # 64 bits in 2 bytes: int16
+@example(_wav_example(1, 2, 65, _I16))  # 65-bit integers
+@example(_wav_example(1, 3, 24, bytes(range(12))))  # 24-bit packed
+@example(_wav_example(1, 4, 32, bytes(range(16))))  # 32-bit integers
+@example(_wav_example(3, 8, 64, np.array([0.5, -0.25], "<f8").tobytes()))
+@example(_wav_example(3, 4, 64, _F32))  # float tag, 64 bits in 4 bytes
+@example(_wav_example(0xFFFE, 4, 32, _F32, subformat=3))  # extensible float
+@example(_wav_example(3, 4, 32, _F32, magic=b"RF64"))
+# big-endian PCM16, which wavfile.read reads as >i2
+@example(_wav_example(1, 2, 16, np.array([1, -1, 32767, -32768], ">i2")
+                      .tobytes(), magic=b"RIFX"))
+# a PCM byte rate other than the rate times the block size
+@example(_riff(_pcm16_fmt(byte_rate=16001), _chunk(b"data", _I16)))
+# the last fmt chunk and the last data chunk are read; wavfile.read looks
+# for the chunk after an odd-sized data chunk of 16-bit samples one byte
+# past the last whole sample, where a file without the pad byte has it
+@example(_riff(_pcm16_fmt(16000), _pcm16_fmt(),
+               b"data" + struct.pack("<I", 5) + b"abcde",
+               _chunk(b"data", _I16)))
+def test_wav_reader(scratch, wav):
     # whaledet parses WAV headers itself, so that a window's samples can be
-    # read alone; it reads every file as scipy's wavfile.read does, and
-    # raises the error class that reading through wavfile.read raised,
-    # except that the header's rate is now checked before the samples
+    # read alone; it reads the files that scipy's wavfile.read reads as
+    # int16 or float32, with the same samples, and refuses every other file
+    # with the error class that reading through wavfile.read raised, except
+    # that the header's rate is now checked before the samples.  It refuses
+    # a big-endian (RIFX) file as an unsupported format at once; and where
+    # wavfile.read raised its own error on a file of another sample format,
+    # the class is UnsupportedEncodingError when the header walk meets that
+    # format, and UnreadableFileError when the walk fails first
+    data, magic, supported = wav
     path = _write(scratch / "x.wav", data)
     try:
         rate, want = scipy_wav_samples(path)
@@ -328,6 +412,10 @@ def test_wav_reader(scratch, data):
             want = SampleRateMismatchError
         elif not np.isfinite(want).all():
             want = NonFiniteAudioError
+    if magic == b"RIFX":
+        want = UnsupportedEncodingError
+    elif want is UnreadableFileError and not supported:
+        want = (UnsupportedEncodingError, UnreadableFileError)
     if isinstance(want, np.ndarray):
         clip = load_wav(path, 8000)
         assert clip.samples.tobytes() == want.tobytes()
